@@ -18,8 +18,14 @@
 // counts are routed through obs::MetricsRegistry and included in the
 // JSON.
 //
+// --family-size sets the planted family per query length: the default
+// 12 exceeds k, so the threshold sits at homolog level; with one member
+// and k = 10 it sits at random-background level and the prefilter
+// prunes almost nothing — the regime where its cost model must stop
+// paying for sweeps.
+//
 // Usage: bench_scan [--reps N] [--db-seqs N] [--qlens L,L,...]
-//                   [--topk K] [--json PATH | --out PATH]
+//                   [--topk K] [--family-size N] [--json PATH | --out PATH]
 
 #include <algorithm>
 #include <cmath>
@@ -165,6 +171,7 @@ int main(int argc, char** argv) {
     args.add_option("qlens", "comma-separated query lengths",
                     "50,100,150,200,500,1024,1025,2000,3000,5000");
     args.add_option("topk", "hits kept per query (funnel threshold k)", "10");
+    args.add_option("family-size", "planted homologs per query length", "12");
     args.add_option("json", "output JSON path", "");
     args.add_option("out", "output JSON path (alias of --json)",
                     "BENCH_scan.json");
@@ -173,6 +180,7 @@ int main(int argc, char** argv) {
     const std::size_t db_seqs =
         static_cast<std::size_t>(args.get_int("db-seqs"));
     const std::size_t top_k = static_cast<std::size_t>(args.get_int("topk"));
+    const std::int64_t family_size = args.get_int("family-size");
     std::vector<std::size_t> qlens;
     for (const std::string& tok : split(args.get("qlens"), ',')) {
         if (tok.empty() ||
@@ -197,6 +205,12 @@ int main(int argc, char** argv) {
         std::cerr << "error: --topk must be positive\n";
         return 1;
     }
+    if (family_size < 1 ||
+        static_cast<std::size_t>(family_size) * qlens.size() >= db_seqs) {
+        std::cerr << "error: --family-size must be at least 1 and leave "
+                     "room for the background in --db-seqs\n";
+        return 1;
+    }
     const std::string out_path =
         args.get("json").empty() ? args.get("out") : args.get("json");
 
@@ -204,7 +218,8 @@ int main(int argc, char** argv) {
     const simd::IsaLevel isa = simd::best_supported();
     const int lanes = align::lanes_u8(isa);
 
-    const db::ScanSample sample = db::make_scan_sample(db_seqs, qlens);
+    const db::ScanSample sample = db::make_scan_sample(
+        db_seqs, qlens, static_cast<std::size_t>(family_size));
     const db::Database& database = sample.database;
     const db::PackedDatabase& packed = database.packed();
     const align::InterleavedCohorts cohorts =
@@ -214,7 +229,8 @@ int main(int argc, char** argv) {
     std::cout << "bench_scan: isa=" << simd::to_string(isa)
               << " lanes=" << lanes << " db_seqs=" << database.size()
               << " db_residues=" << db_residues << " reps=" << reps
-              << " topk=" << top_k << "\n\n";
+              << " topk=" << top_k << " family_size=" << family_size
+              << "\n\n";
     std::cout << "qlen   packed   exact    funnel GCUPS   selectivity   "
                  "funnel speedup\n";
 
@@ -422,6 +438,7 @@ int main(int argc, char** argv) {
         << "  \"db_residues\": " << db_residues << ",\n"
         << "  \"reps\": " << reps << ",\n"
         << "  \"top_k\": " << top_k << ",\n"
+        << "  \"family_size\": " << family_size << ",\n"
         << "  \"configs\": [\n";
     for (std::size_t i = 0; i < rows.size(); ++i) {
         const Row& r = rows[i];
@@ -438,6 +455,7 @@ int main(int argc, char** argv) {
             << ", \"subjects_pruned\": " << r.filter.subjects_pruned
             << ", \"filter_rebounds16\": " << r.filter.rebounds16
             << ", \"filter_offs\": " << r.filter.filter_offs
+            << ", \"cohorts_filtered\": " << r.filter.cohorts_filtered
             << ", \"tile_count\": " << r.tile_count
             << ", \"cohorts_interseq\": " << r.dispatch.cohorts_interseq
             << ", \"cohorts_tiled\": " << r.dispatch.cohorts_tiled

@@ -70,9 +70,9 @@ DatabaseScanner::DatabaseScanner(const StripedAligner& aligner,
     // its length, so rank cohorts by |mean subject length - query
     // length| and pull the best kPrimeCohorts to the front. The
     // remainder follows in ascending column order — shortest cohorts
-    // carry the cheapest sweeps and the best pruning odds, and the
-    // filter-off guard (claim_cohorts) relies on crossing the
-    // hopeless-length boundary before the expensive cohorts arrive.
+    // carry the cheapest sweeps and the best pruning odds, so the
+    // sweep cost model (claim_cohorts) learns on cheap cohorts before
+    // the expensive ones arrive.
     const auto want_len = static_cast<std::int64_t>(aligner.query().size());
     std::vector<std::uint32_t> ranked(cohorts_.count);
     for (std::size_t c = 0; c < cohorts_.count; ++c) {
@@ -118,6 +118,9 @@ void DatabaseScanner::credit_dispatch(const WorkerTallies& t) {
     }
     if (t.filter_offs > 0) {
         filter_offs_.fetch_add(t.filter_offs, std::memory_order_relaxed);
+    }
+    if (t.lanes_filtered > 0) {
+        lanes_filtered_.fetch_add(t.lanes_filtered, std::memory_order_relaxed);
     }
     if (t.cohorts_interseq > 0) {
         cohorts_interseq_.fetch_add(t.cohorts_interseq,
@@ -171,7 +174,8 @@ DatabaseScanner::FilterStats DatabaseScanner::filter_stats() const {
     return FilterStats{cohorts_filtered_.load(std::memory_order_relaxed),
                        rebounds16_.load(std::memory_order_relaxed),
                        subjects_pruned_.load(std::memory_order_relaxed),
-                       filter_offs_.load(std::memory_order_relaxed)};
+                       filter_offs_.load(std::memory_order_relaxed),
+                       lanes_filtered_.load(std::memory_order_relaxed)};
 }
 
 }  // namespace swh::align

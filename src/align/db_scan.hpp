@@ -45,7 +45,10 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
+#include <chrono>
 #include <cstdint>
+#include <functional>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -141,15 +144,8 @@ public:
     /// re-bound sweep stays rare even for long subjects.
     static constexpr std::size_t kFilterChunkRows = 256;
 
-    /// Consecutive zero-prune cohorts before a worker turns its
-    /// prefilter off for the rest of its claims (long-query chunked
-    /// regime only; armed claims visit non-prime cohorts in ascending
-    /// column order, so once bounds stop clearing tau at some subject
-    /// length they stay hopeless for every longer cohort — the summed
-    /// tile bound only grows with subject length). Three in a row
-    /// tolerates an isolated all-homolog cohort without disabling a
-    /// still-productive filter.
-    static constexpr int kFilterOffStreak = 3;
+    /// Lane bound of a prefilter sweep where saturation left none.
+    static constexpr Score kUnbounded = std::numeric_limits<Score>::max();
 
     /// Cohorts scanned first when the prefilter is armed: the ones
     /// whose subject lengths sit closest to the query's, where true
@@ -283,16 +279,19 @@ public:
 
     /// Stage-1 prefilter counters (cumulative across workers and
     /// resets). `cohorts_filtered` counts ungapped u8 sweeps actually
-    /// run (threshold was live); `rebounds16` the cohorts whose
-    /// u8-saturated lanes were re-bounded at 16 bits; `subjects_pruned`
-    /// the lanes proven out of the top-k and skipped; `filter_offs`
-    /// the cohorts whose sweep the adaptive filter-off guard skipped
-    /// after the chain bound stopped pruning (see claim_cohorts).
+    /// run and `lanes_filtered` the used lanes they covered;
+    /// `rebounds16` the cohorts whose u8-saturated lanes were
+    /// re-bounded at 16 bits; `subjects_pruned` the lanes proven out of
+    /// the top-k and skipped; `filter_offs` the cohorts whose sweep the
+    /// cost model skipped although the threshold was live (see
+    /// SweepModel). Filter-eligible cohorts = cohorts_filtered +
+    /// filter_offs.
     struct FilterStats {
         std::uint64_t cohorts_filtered = 0;
         std::uint64_t rebounds16 = 0;
         std::uint64_t subjects_pruned = 0;
         std::uint64_t filter_offs = 0;
+        std::uint64_t lanes_filtered = 0;
     };
     FilterStats filter_stats() const;
 
@@ -302,6 +301,119 @@ private:
         kStriped = 0,   ///< per-subject striped fallback (low fill)
         kInterseq = 1,  ///< untiled inter-sequence u8
         kTiled = 2,     ///< query-tiled inter-sequence u8
+    };
+
+    /// One worker's stage-1 cost model: decides, cohort by cohort,
+    /// whether the ungapped sweep runs. It measures online, with two
+    /// steady_clock reads around each kernel call, the sweep's time
+    /// per cohort cell (columns x W), the exact stage's time per unit
+    /// of its work — cohort cells on the inter-sequence routes (the
+    /// kernel pays the full width), subject residues on the striped
+    /// one — and the share of a cohort's exact cost the last sweep on
+    /// its route saved. The sweep runs while saved share x exact cost
+    /// exceeds the sweep's cost; an unmeasured share counts as 1 (the
+    /// best a sweep can do), an unmeasured rate as paying. Once the
+    /// model says no, the worker skips 4, then 16, 64, ... cohorts
+    /// between probe sweeps — and probes at once when tau climbs to
+    /// where the last rejected sweep would have paid (retry_tau): tau
+    /// only rises, so pruning power only grows. Sound by construction —
+    /// skipping the sweep only lets lanes survive into the exact stage.
+    struct SweepModel {
+        using Clock = std::chrono::steady_clock;
+        /// Growth of the skip run between probes. On short queries a
+        /// sweep costs ~0.7x the exact inter-sequence pass it precedes
+        /// (AVX-512), so on a 16-cohort scan doubling still spends ~8%
+        /// on probes that prune nothing; quadrupling halves that, and a
+        /// wrong "no" still costs only the next four cohorts.
+        static constexpr std::uint64_t kProbeBackoff = 4;
+
+        double sweep_ns = 0.0;  ///< per cohort cell; 0 = not measured
+        /// Exact-stage time per unit of work, by CohortPath.
+        double exact_ns[3] = {};
+        /// Saved share of the exact cost, by CohortPath; < 0 = unknown.
+        double saved[3] = {-1.0, -1.0, -1.0};
+        std::uint64_t skip = 0;     ///< cohorts left before the next probe
+        std::uint64_t backoff = 0;  ///< current skip run; 0 = paying
+        /// Threshold at which the last rejected sweep would have paid.
+        Score retry_tau = kUnbounded;
+
+        static double ns_since(Clock::time_point t0) {
+            return std::chrono::duration<double, std::nano>(Clock::now() -
+                                                            t0)
+                .count();
+        }
+
+        /// Running average that follows a drifting rate; a sample is
+        /// capped at twice the estimate, so one preempted kernel call
+        /// moves it by at most 1.5x.
+        static void learn(double& avg, double sample) {
+            avg = avg > 0.0 ? 0.5 * (avg + std::min(sample, 2.0 * avg))
+                            : sample;
+        }
+
+        bool pays(CohortPath path, const CohortDesc& d, double cells) const {
+            const auto p = static_cast<int>(path);
+            if (sweep_ns <= 0.0 || exact_ns[p] <= 0.0) return true;
+            const double share = saved[p] < 0.0 ? 1.0 : saved[p];
+            const double work = path == CohortPath::kStriped
+                                    ? static_cast<double>(d.residues)
+                                    : cells;
+            return share * exact_ns[p] * work > sweep_ns * cells;
+        }
+
+        /// Sweep cohort d? Yes while the sweep pays, else as a probe
+        /// once tau reaches retry_tau or the current backoff has run
+        /// out.
+        bool wants(CohortPath path, const CohortDesc& d, double cells,
+                   Score tau) {
+            if (pays(path, d, cells)) {
+                backoff = 0;
+                skip = 0;
+                return true;
+            }
+            if (tau >= retry_tau) return true;
+            if (skip > 0) {
+                --skip;
+                return false;
+            }
+            if (backoff == 0) {
+                // The last sweep did not pay: this cohort is the first
+                // of kProbeBackoff skipped before the first probe.
+                backoff = kProbeBackoff;
+                skip = backoff - 1;
+                return false;
+            }
+            // Probe; if it fails too, kProbeBackoff times as many
+            // cohorts are skipped before the next one.
+            backoff *= kProbeBackoff;
+            skip = backoff;
+            return true;
+        }
+
+        void swept(CohortPath path, double cells, double ns, double share) {
+            learn(sweep_ns, ns / cells);
+            saved[static_cast<int>(path)] = share;
+        }
+
+        /// After a sweep the model rejects: the lowest threshold at
+        /// which its cohort would have kept at most a quarter of its
+        /// lanes (the repack cutover, where an inter-sequence sweep
+        /// starts to save) — or none, if it already did — so tau
+        /// climbing there, say once the scan reaches a homolog family
+        /// the primed cohorts missed, triggers a probe at once.
+        /// Reorders `bound`.
+        void rejected(Score* bound, std::uint32_t lanes, Score tau) {
+            std::sort(bound, bound + lanes, std::greater<>());
+            Score at = bound[lanes / kFunnelStripedCutover];
+            if (at < tau) at = bound[0];
+            retry_tau = at < tau || at == kUnbounded ? kUnbounded : at + 1;
+        }
+
+        void exact(CohortPath path, double ns, double units) {
+            if (units > 0.0) {
+                learn(exact_ns[static_cast<int>(path)], ns / units);
+            }
+        }
     };
 
     struct WorkerTallies {
@@ -320,6 +432,7 @@ private:
         std::uint64_t rebounds16 = 0;
         std::uint64_t pruned = 0;
         std::uint64_t filter_offs = 0;
+        std::uint64_t lanes_filtered = 0;
     };
 
     std::uint32_t slot_index(std::size_t slot) const {
@@ -385,12 +498,15 @@ private:
     /// provably falls strictly below `tau`; u8-saturated lanes are
     /// re-bounded at 16 bits (only when `striped_exact` says the
     /// cohort's exact fallback is per-lane striped — see below), and
-    /// i16-saturated lanes always survive.
+    /// i16-saturated lanes always survive. `bound[l]` receives each
+    /// used lane's proven bound, kUnbounded where saturation left none.
     SWH_HOT_PATH std::uint64_t filter_cohort(const CohortDesc& d,
                                              std::uint64_t used,
                                 Score tau, bool striped_exact,
-                                ScanScratch& scratch, WorkerTallies& t) {
+                                ScanScratch& scratch, Score* bound,
+                                WorkerTallies& t) {
         ++t.cohorts_filtered;
+        t.lanes_filtered += d.lanes_used;
         std::uint8_t bound8[64];
         const Code* cols = cohorts_.arena + d.offset;
         const std::size_t qlen = aligner_->interseq()->query_len;
@@ -408,14 +524,17 @@ private:
             survive =
                 (lanes_at_least(bound8, floor8, aligner_->isa()) | sat) &
                 used;
+            for (std::uint32_t l = 0; l < d.lanes_used; ++l) {
+                bound[l] = (sat >> l) & 1 ? kUnbounded : bound8[l];
+            }
         } else {
             // Long query: bound kFilterChunkRows-row tiles separately
             // and sum per lane (align/ungapped.hpp) — each tile's DP
             // state stays L1-resident and its bound in u8 range. The
             // summed bound loosens with tile count (each junction
             // forgoes a link charge), so against subjects of comparable
-            // length it stops pruning — the adaptive filter-off guard
-            // in claim_cohorts handles that regime; tightening the
+            // length it stops pruning — the sweep cost model in
+            // claim_cohorts stops paying for it there; tightening the
             // bound here does not (a single-tile i16 sweep was tried
             // and measures ~40% SLOWER per cohort than the exact tiled
             // u8 kernel it feeds, while still pruning nothing long).
@@ -435,6 +554,7 @@ private:
             survive = sat & used;
             for (std::uint32_t l = 0; l < d.lanes_used; ++l) {
                 if (acc[l] >= tau) survive |= std::uint64_t{1} << l;
+                bound[l] = (sat >> l) & 1 ? kUnbounded : acc[l];
             }
             survive &= used;
         }
@@ -461,9 +581,9 @@ private:
             for (std::uint32_t l = 0; l < d.lanes_used; ++l) {
                 const std::uint64_t bit = std::uint64_t{1} << l;
                 if ((sat & bit) == 0) continue;
-                if ((sat16 & bit) == 0 &&
-                    static_cast<Score>(bound16[l]) < tau) {
-                    survive &= ~bit;
+                if ((sat16 & bit) == 0) {
+                    bound[l] = static_cast<Score>(bound16[l]);
+                    if (bound[l] < tau) survive &= ~bit;
                 }
             }
         }
@@ -471,7 +591,8 @@ private:
     }
 
     /// Cohort claim unit: whole cohorts of the interleaved layout.
-    /// Stage 1 prunes lanes when the threshold feed is live, stage 2
+    /// Stage 1 prunes lanes when the threshold feed is live and the
+    /// worker's SweepModel expects the sweep to pay for itself, stage 2
     /// exact-scores the survivors with the route from choice_ —
     /// untiled or query-tiled inter-sequence for well-filled cohorts,
     /// per-subject striped for the low-fill rest — batching the
@@ -486,27 +607,15 @@ private:
         const std::size_t n = cohorts_.count;
         const auto w = static_cast<std::size_t>(cohorts_.lanes);
         const std::size_t claim = std::max<std::size_t>(1, chunk_ / w);
-        const std::size_t qlen =
-            aligner_->interseq() != nullptr ? aligner_->interseq()->query_len
-                                            : aligner_->query().size();
         std::uint8_t lane_best[64];
+        Score bound[64];
         InterseqColumnState colstate;
         // Survivor batch for the repack path; both vectors stay empty
         // (no allocation) until the prefilter actually starves a
         // cohort below the cutover.
         std::vector<std::uint32_t> pending;
         std::vector<Code> repack;
-        // Adaptive filter-off: in the long-query chunked regime the
-        // summed tile bound loosens until, at some subject length, it
-        // stops clearing tau for anyone — from there every sweep is
-        // pure overhead on exactly the cohorts that cost the most to
-        // exact-score. Armed claims visit non-prime cohorts shortest
-        // first, so a worker that sees kFilterOffStreak zero-prune
-        // cohorts in a row has crossed that length and turns its
-        // prefilter off for the rest of its claims. Skipping stage 1
-        // never changes the result (all lanes simply survive).
-        bool filter_off = false;
-        int noprune_streak = 0;
+        SweepModel model;
         while (keep) {
             const std::size_t begin =
                 next_.fetch_add(claim, std::memory_order_relaxed);
@@ -516,55 +625,66 @@ private:
                 const std::size_t c =
                     prime_order_.empty() ? slot : prime_order_[slot];
                 const CohortDesc& d = cohorts_.cohorts[c];
+                const CohortPath path = choice_[c];
+                const double cells = static_cast<double>(d.columns) *
+                                     static_cast<double>(w);
                 const std::uint64_t used =
                     d.lanes_used >= 64
                         ? ~std::uint64_t{0}
                         : (std::uint64_t{1} << d.lanes_used) - 1;
                 std::uint64_t survive = used;
-                if (threshold_ != nullptr && !filter_off) {
-                    // Re-read per cohort: the threshold rises as exact
-                    // hits accumulate, so late cohorts prune harder.
-                    // tau <= 0 (including TopK::kNoThreshold) cannot
-                    // prune — chain bounds are non-negative.
-                    const Score tau =
-                        threshold_->load(std::memory_order_relaxed);
-                    if (tau > 0) {
-                        survive = filter_cohort(
-                            d, used, tau,
-                            choice_[c] == CohortPath::kStriped, scratch, t);
-                        // Learn only off non-prime cohorts: the primed
-                        // prefix is homolog-adjacent by construction,
-                        // so its lanes surviving says nothing about
-                        // bound looseness.
-                        const bool prime = !prime_order_.empty() &&
-                                           slot < kPrimeCohorts;
-                        if (qlen > kFilterChunkRows && !prime) {
-                            if (survive == used) {
-                                if (++noprune_streak >= kFilterOffStreak) {
-                                    filter_off = true;
-                                }
-                            } else {
-                                noprune_streak = 0;
-                            }
-                        }
-                    }
-                } else if (threshold_ != nullptr) {
-                    ++t.filter_offs;
-                }
-                if (survive != used) {
+                // Re-read per cohort: the threshold rises as exact hits
+                // accumulate, so late cohorts prune harder. tau <= 0
+                // (including TopK::kNoThreshold) cannot prune — chain
+                // bounds are non-negative.
+                const Score tau =
+                    threshold_ != nullptr
+                        ? threshold_->load(std::memory_order_relaxed)
+                        : 0;
+                if (tau > 0 && model.wants(path, d, cells, tau)) {
+                    const auto t0 = SweepModel::Clock::now();
+                    survive = filter_cohort(d, used, tau,
+                                            path == CohortPath::kStriped,
+                                            scratch, bound, t);
+                    const double ns = SweepModel::ns_since(t0);
+                    std::uint64_t pruned_residues = 0;
                     for (std::uint32_t l = 0; l < d.lanes_used && keep;
                          ++l) {
                         if ((survive >> l) & 1) continue;
                         const std::uint32_t idx = member_index(d, l);
                         ++t.pruned;
+                        pruned_residues += subjects_.lengths[idx];
                         keep = pruned(idx, subjects_.lengths[idx]);
                     }
                     if (!keep) break;
+                    // Share of this cohort's exact cost the sweep saved.
+                    // Striped: the pruned lanes' residues. Inter-
+                    // sequence: the kernel pays full width for any
+                    // survivor, so nothing unless the survivors fall to
+                    // the repack cutover (then they cost their share of
+                    // a dense cohort) or to none.
+                    const auto nsurv = std::popcount(survive);
+                    double share = 0.0;
+                    if (path == CohortPath::kStriped) {
+                        share = static_cast<double>(pruned_residues) /
+                                static_cast<double>(
+                                    std::max<std::uint64_t>(1, d.residues));
+                    } else if (static_cast<std::uint32_t>(nsurv) *
+                                   kFunnelStripedCutover <=
+                               d.lanes_used) {
+                        share = 1.0 - static_cast<double>(nsurv) /
+                                          static_cast<double>(w);
+                    }
+                    model.swept(path, cells, ns, share);
+                    if (!model.pays(path, d, cells)) {
+                        model.rejected(bound, d.lanes_used, tau);
+                    }
                     if (survive == 0) continue;
+                } else if (tau > 0) {
+                    ++t.filter_offs;
                 }
                 const auto nsurv = static_cast<std::uint32_t>(
                     std::popcount(survive));
-                const CohortPath path = choice_[c];
                 const bool compacted =
                     (d.flags & CohortDesc::kCompacted) != 0;
                 if (path != CohortPath::kStriped &&
@@ -572,6 +692,7 @@ private:
                     ++t.cohorts_interseq;
                     if (path == CohortPath::kTiled) ++t.cohorts_tiled;
                     if (compacted) ++t.cohorts_compacted;
+                    const auto t0 = SweepModel::Clock::now();
                     const std::uint64_t ovf =
                         path == CohortPath::kTiled
                             ? sw_interseq_u8_tiled(
@@ -584,6 +705,7 @@ private:
                                              d.columns, aligner_->gap(),
                                              aligner_->isa(), scratch,
                                              lane_best);
+                    model.exact(path, SweepModel::ns_since(t0), cells);
                     std::uint64_t& subj = compacted ? t.subjects_compacted
                                                     : t.subjects_interseq;
                     for (std::uint32_t l = 0; l < d.lanes_used && keep; ++l) {
@@ -615,11 +737,16 @@ private:
                     }
                 } else {
                     ++t.cohorts_striped;
+                    const auto t0 = SweepModel::Clock::now();
+                    std::uint64_t residues = 0;
                     for (std::uint32_t l = 0; l < d.lanes_used && keep; ++l) {
                         if (((survive >> l) & 1) == 0) continue;
-                        keep = score_striped(member_index(d, l), scratch,
-                                             emit, overflow, t);
+                        const std::uint32_t idx = member_index(d, l);
+                        residues += subjects_.lengths[idx];
+                        keep = score_striped(idx, scratch, emit, overflow, t);
                     }
+                    model.exact(path, SweepModel::ns_since(t0),
+                                static_cast<double>(residues));
                 }
             }
             // Full survivor batches become dense repacked cohorts here,
@@ -931,10 +1058,10 @@ private:
     /// prefilter is armed: the kPrimeCohorts cohorts whose mean subject
     /// length is closest to the query's come first (threshold priming),
     /// the rest follow in ascending column order — shortest cohorts
-    /// (cheapest, best pruning odds) first, so the filter-off guard's
-    /// zero-prune streak crosses the hopeless-length boundary before
-    /// the expensive cohorts are reached. Empty = identity (exhaustive
-    /// scans are untouched).
+    /// (cheapest, best pruning odds) first, so the sweep cost model
+    /// (SweepModel) has measured the filter before the expensive
+    /// cohorts are reached. Empty = identity (exhaustive scans are
+    /// untouched).
     std::vector<std::uint32_t> prime_order_;
     std::atomic<std::size_t> next_{0};
     std::atomic<std::uint64_t> cohorts_interseq_{0}, cohorts_tiled_{0};
@@ -944,6 +1071,7 @@ private:
     std::atomic<std::uint64_t> subjects_striped_{0};
     std::atomic<std::uint64_t> cohorts_filtered_{0}, rebounds16_{0};
     std::atomic<std::uint64_t> subjects_pruned_{0}, filter_offs_{0};
+    std::atomic<std::uint64_t> lanes_filtered_{0};
 };
 
 }  // namespace swh::align

@@ -29,10 +29,6 @@ core::TaskResult CpuEngine::execute(const align::Sequence& query,
                                     core::TaskId task,
                                     const db::Database& database,
                                     ExecutionObserver* observer) {
-    obs::TraceLane* lane =
-        observer != nullptr ? observer->trace_lane() : nullptr;
-    if (lane != nullptr) lane->span_begin("kernel:cpu-striped", task);
-
     const align::StripedAligner aligner(query.residues, *config_.matrix,
                                         config_.gap, config_.isa);
     // Packed arena: built once per database (cached inside it), scanned
@@ -45,6 +41,13 @@ core::TaskResult CpuEngine::execute(const align::Sequence& query,
     if (config_.interseq && aligner.interseq() != nullptr) {
         cohorts = packed.interleaved(align::lanes_u8(config_.isa)).view();
     }
+    // The span names the scan mode: cohort-mode scans run the
+    // inter-sequence kernels (striped only for low-fill cohorts).
+    const char* const span = cohorts.count > 0 ? "kernel:cpu-interseq"
+                                               : "kernel:cpu-striped";
+    obs::TraceLane* lane =
+        observer != nullptr ? observer->trace_lane() : nullptr;
+    if (lane != nullptr) lane->span_begin(span, task);
     // Threshold feed for the scanner's ungapped prefilter: the running
     // k-th best exact score across all workers, raised monotonically
     // (CAS-max) as hits accumulate. A stale (lower) read only prunes
@@ -168,10 +171,6 @@ core::TaskResult CpuEngine::execute(const align::Sequence& query,
         config_.metrics->counter("engine.cpu.runs32").add(st.runs32);
         const align::DatabaseScanner::DispatchStats ds =
             scanner.dispatch_stats();
-        config_.metrics->counter("engine.cpu.cohorts_interseq")
-            .add(ds.cohorts_interseq);
-        config_.metrics->counter("engine.cpu.cohorts_striped")
-            .add(ds.cohorts_striped);
         config_.metrics->counter("engine.cpu.subjects_interseq")
             .add(ds.subjects_interseq);
         config_.metrics->counter("engine.cpu.subjects_compacted")
@@ -182,7 +181,7 @@ core::TaskResult CpuEngine::execute(const align::Sequence& query,
         // tiled-interseq (long query), compacted (ragged membership,
         // layout- or funnel-repacked), striped-head (fill below the
         // dispatch bar). Tiled/compacted are subsets of
-        // cohorts_interseq; striped_head equals cohorts_striped.
+        // cohorts_interseq.
         config_.metrics->counter("scan.dispatch.cohorts_interseq")
             .add(ds.cohorts_interseq);
         config_.metrics->counter("scan.dispatch.cohorts_tiled")
@@ -203,9 +202,11 @@ core::TaskResult CpuEngine::execute(const align::Sequence& query,
             .add(fs.subjects_pruned);
         config_.metrics->counter("engine.cpu.filter.offs")
             .add(fs.filter_offs);
+        config_.metrics->counter("engine.cpu.filter.lanes")
+            .add(fs.lanes_filtered);
     }
     if (lane != nullptr) {
-        lane->span_end("kernel:cpu-striped", task,
+        lane->span_end(span, task,
                        stop.load(std::memory_order_relaxed) ? 1.0 : 0.0);
     }
     return result;

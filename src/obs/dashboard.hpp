@@ -12,7 +12,7 @@
 //   sched.pe.<id>.accepted     counter — accepted completions per PE
 //   sched.replicas_issued, sched.completions_accepted/discarded
 //   engine.cpu.filter.tau      gauge   — current funnel threshold τ
-//   engine.cpu.filter.cohorts / .pruned — funnel selectivity
+//   engine.cpu.filter.lanes / .pruned — share of swept lanes pruned
 //   channel.master_inbox.depth histogram — master queue depth
 
 #include <string>

@@ -5,10 +5,13 @@
 #include "util/error.hpp"
 
 #include <atomic>
+#include <string>
+#include <vector>
 
 #include "align/sw_scalar.hpp"
 #include "db/database.hpp"
 #include "db/presets.hpp"
+#include "obs/trace.hpp"
 
 namespace swh::engines {
 namespace {
@@ -149,6 +152,46 @@ TEST(CpuEngine, CancellationStopsEarly) {
     CancelAfter obs(10);
     const auto r = engine.execute(q, 0, 0, database, &obs);
     EXPECT_LT(r.cells, q.size() * database.residues());
+}
+
+class TracingObserver final : public ExecutionObserver {
+public:
+    explicit TracingObserver(obs::TraceLane& lane) : lane_(&lane) {}
+    obs::TraceLane* trace_lane() const override { return lane_; }
+
+private:
+    obs::TraceLane* lane_;
+};
+
+/// Names of the span events one task emits on the slave's trace lane.
+std::vector<std::string> span_events(const EngineConfig& c,
+                                     const db::Database& database) {
+    obs::TraceRecorder recorder;
+    TracingObserver observer(recorder.lane("sse0"));
+    CpuEngine(c).execute(query(), 0, 3, database, &observer);
+    const obs::Trace trace = recorder.drain();
+    std::vector<std::string> names;
+    for (const obs::TraceEvent& e : trace.lanes.at(0).events) {
+        if (e.kind == obs::EventKind::SpanBegin ||
+            e.kind == obs::EventKind::SpanEnd) {
+            EXPECT_EQ(e.task, 3u);
+            names.emplace_back(e.name);
+        }
+    }
+    return names;
+}
+
+TEST(CpuEngine, KernelSpanNamesTheScanMode) {
+    const db::Database database = small_db();
+    // Cohort layout attached: the scan runs the inter-sequence kernels.
+    EXPECT_EQ(span_events(config(), database),
+              (std::vector<std::string>{"kernel:cpu-interseq",
+                                        "kernel:cpu-interseq"}));
+    EngineConfig striped = config();
+    striped.interseq = false;
+    EXPECT_EQ(span_events(striped, database),
+              (std::vector<std::string>{"kernel:cpu-striped",
+                                        "kernel:cpu-striped"}));
 }
 
 TEST(CpuEngine, TopKSmallerThanDatabase) {

@@ -22,6 +22,8 @@ MetricsSnapshot synthetic() {
     reg.counter("sched.replicas_issued").add(1);
     reg.counter("sched.completions_accepted").add(17);
     reg.gauge("engine.cpu.filter.tau").set(87.0);
+    reg.counter("engine.cpu.filter.cohorts").add(20);
+    reg.counter("engine.cpu.filter.lanes").add(1200);
     reg.counter("engine.cpu.filter.pruned").add(900);
     reg.counter("engine.cpu.subjects_interseq").add(100);
     reg.counter("engine.cpu.subjects_striped").add(0);
@@ -53,6 +55,21 @@ TEST(Dashboard, UnknownPesGetFallbackLabels) {
 TEST(Dashboard, ShowsFunnelThresholdWhenArmed) {
     const std::string frame = render_dashboard(synthetic(), {});
     EXPECT_NE(frame.find("87"), std::string::npos);  // tau value
+}
+
+TEST(Dashboard, FunnelPrunedShareIsAPercentageOfSweptLanes) {
+    // 900 of 1200 swept lanes pruned over 20 cohorts: 75%, not the
+    // pruned-lanes-per-cohort ratio (4500%).
+    const std::string frame = render_dashboard(synthetic(), {});
+    const std::size_t at = frame.find("pruned ");
+    ASSERT_NE(at, std::string::npos) << frame;
+    const std::size_t pct = frame.find('%', at);
+    ASSERT_NE(pct, std::string::npos) << frame;
+    const double value =
+        std::stod(frame.substr(at + 7, pct - (at + 7)));
+    EXPECT_GE(value, 0.0);
+    EXPECT_LE(value, 100.0);
+    EXPECT_DOUBLE_EQ(value, 75.0);
 }
 
 TEST(Dashboard, EmptySnapshotRendersAFrameWithoutPeRows) {
