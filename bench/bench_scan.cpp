@@ -166,8 +166,8 @@ int main(int argc, char** argv) {
     args.add_option("reps", "timing repetitions (best-of)", "5");
     args.add_option("db-seqs", "synthetic database sequence count", "1500");
     // The sweep covers the paper's Table-II query range (100..5000 aa)
-    // plus the 1024/1025 pair straddling the untiled/tiled kernel
-    // boundary (2 * align::kInterseqTileRows).
+    // plus the 1024/1025 pair straddling a query-tile boundary of the
+    // inter-sequence kernels (4 * align::kInterseqTileRows).
     args.add_option("qlens", "comma-separated query lengths",
                     "50,100,150,200,500,1024,1025,2000,3000,5000");
     args.add_option("topk", "hits kept per query (funnel threshold k)", "10");
@@ -323,12 +323,10 @@ int main(int argc, char** argv) {
         row.funnel_speedup = row.funnel_gcups / row.exact_gcups;
         rows.push_back(row);
         // Route breakdown (scan.dispatch.*): why each cohort took its
-        // path — tiled-interseq, compacted, or striped-head — so
+        // path — interseq, compacted, or striped-head — so
         // coverage regressions show up without re-benchmarking.
         metrics.counter("scan.dispatch.cohorts_interseq")
             .add(row.dispatch.cohorts_interseq);
-        metrics.counter("scan.dispatch.cohorts_tiled")
-            .add(row.dispatch.cohorts_tiled);
         metrics.counter("scan.dispatch.cohorts_compacted")
             .add(row.dispatch.cohorts_compacted);
         metrics.counter("scan.dispatch.cohorts_striped_head")
@@ -375,8 +373,8 @@ int main(int argc, char** argv) {
             geomean_short *= r.speedup;
             ++n_short;
         }
-        // Long = the tiled-kernel range (the paper's Table-II upper
-        // half), where the seed had no interseq coverage at all.
+        // Long = multi-tile queries (the paper's Table-II upper half),
+        // where the seed had no interseq coverage at all.
         if (r.qlen >= 1024) {
             geomean_long *= r.speedup;
             ++n_long;
@@ -458,7 +456,6 @@ int main(int argc, char** argv) {
             << ", \"cohorts_filtered\": " << r.filter.cohorts_filtered
             << ", \"tile_count\": " << r.tile_count
             << ", \"cohorts_interseq\": " << r.dispatch.cohorts_interseq
-            << ", \"cohorts_tiled\": " << r.dispatch.cohorts_tiled
             << ", \"cohorts_compacted\": " << r.dispatch.cohorts_compacted
             << ", \"cohorts_striped\": " << r.dispatch.cohorts_striped
             << ", \"repacks\": " << r.dispatch.repacks

@@ -41,24 +41,20 @@ DatabaseScanner::DatabaseScanner(const StripedAligner& aligner,
     // Precompute the per-cohort route once: the scan itself then
     // branches on a byte. Inter-sequence pays off when the cohort is
     // full enough for the lane-parallel win to survive the pad cells
-    // (the bar shrinks with query length, see min_fill_pct); queries
-    // past kInterseqTileRows take the query-tiled kernel variant, whose
-    // carried column state keeps the per-tile DP rows cache-resident,
-    // so no query length forces the striped fallback by itself.
+    // (the bar shrinks with query length, see min_fill_pct). The
+    // kernel's query tiling keeps its DP rows cache-resident, so no
+    // query length forces the striped fallback by itself.
     const std::size_t qlen = aligner.interseq()->query_len;
     choice_.resize(cohorts_.count, CohortPath::kStriped);
     if (qlen > 0) {
         const std::uint64_t bar = min_fill_pct(qlen);
-        const CohortPath eligible = qlen <= kInterseqTileRows
-                                        ? CohortPath::kInterseq
-                                        : CohortPath::kTiled;
         for (std::size_t c = 0; c < cohorts_.count; ++c) {
             const CohortDesc& d = cohorts_.cohorts[c];
             const std::uint64_t cells =
                 std::uint64_t{d.columns} *
                 static_cast<std::uint64_t>(cohorts_.lanes);
             if (d.columns > 0 && d.residues * 100 >= cells * bar) {
-                choice_[c] = eligible;
+                choice_[c] = CohortPath::kInterseq;
             }
         }
     }
@@ -126,9 +122,6 @@ void DatabaseScanner::credit_dispatch(const WorkerTallies& t) {
         cohorts_interseq_.fetch_add(t.cohorts_interseq,
                                     std::memory_order_relaxed);
     }
-    if (t.cohorts_tiled > 0) {
-        cohorts_tiled_.fetch_add(t.cohorts_tiled, std::memory_order_relaxed);
-    }
     if (t.cohorts_compacted > 0) {
         cohorts_compacted_.fetch_add(t.cohorts_compacted,
                                      std::memory_order_relaxed);
@@ -160,7 +153,6 @@ void DatabaseScanner::credit_dispatch(const WorkerTallies& t) {
 DatabaseScanner::DispatchStats DatabaseScanner::dispatch_stats() const {
     return DispatchStats{
         cohorts_interseq_.load(std::memory_order_relaxed),
-        cohorts_tiled_.load(std::memory_order_relaxed),
         cohorts_compacted_.load(std::memory_order_relaxed),
         cohorts_striped_.load(std::memory_order_relaxed),
         repacks_.load(std::memory_order_relaxed),

@@ -26,11 +26,10 @@
 // When the caller also provides a lane-interleaved cohort layout (see
 // db::PackedDatabase::interleaved and align/interseq.hpp), stage 2
 // dispatches adaptively per cohort: well-filled cohorts are scored W
-// subjects at a time by the inter-sequence u8 kernel — untiled for
-// queries up to kInterseqTileRows, query-tiled with carried column
-// state beyond it, so the whole query-length range is eligible — while
-// cohorts below the query-length-dependent fill bar fall back to the
-// striped kernel per subject. The layout itself keeps low-fill
+// subjects at a time by the inter-sequence u8 kernel — query-tiled with
+// carried column state, so the whole query-length range is eligible —
+// while cohorts below the query-length-dependent fill bar fall back to
+// the striped kernel per subject. The layout itself keeps low-fill
 // stretches rare by re-packing ragged scan-order tails into dense
 // compacted cohorts, and the funnel composes the same way: survivors
 // of mostly-pruned cohorts are re-packed worker-locally into dense
@@ -124,7 +123,7 @@ public:
     static constexpr int kRebound16MinLanes = 8;
 
     /// Minimum deferred-overflow group size before the stage-3 drain
-    /// re-packs it into a dense cohort for one (tiled) i16
+    /// re-packs it into a dense cohort for one i16
     /// inter-sequence pass instead of serial striped i16 rescores. The
     /// cohort pass pays a fixed full-width sweep whether or not every
     /// lane is real, but runs ~5x more lane-cells/s on long queries
@@ -254,16 +253,14 @@ public:
     /// and resets). Subjects deferred to the wide rescore are counted
     /// under the kernel that deferred them; pruned subjects appear in
     /// neither (see filter_stats). `cohorts_interseq` counts every
-    /// inter-sequence-scored cohort; `cohorts_tiled` (query-tiled
-    /// kernel) and `cohorts_compacted` (layout-compacted membership)
-    /// are overlapping subsets of it. `subjects_compacted` separates
-    /// the ragged-tail story from the striped one: subjects scored
-    /// inter-sequence out of a layout-compacted cohort or a worker-side
-    /// survivor repack, so `subjects_striped` counts only genuine
-    /// striped-head fallbacks.
+    /// inter-sequence-scored cohort; `cohorts_compacted` (layout-
+    /// compacted membership) is a subset of it. `subjects_compacted`
+    /// separates the ragged-tail story from the striped one: subjects
+    /// scored inter-sequence out of a layout-compacted cohort or a
+    /// worker-side survivor repack, so `subjects_striped` counts only
+    /// genuine striped-head fallbacks.
     struct DispatchStats {
         std::uint64_t cohorts_interseq = 0;
-        std::uint64_t cohorts_tiled = 0;
         std::uint64_t cohorts_compacted = 0;
         std::uint64_t cohorts_striped = 0;
         std::uint64_t repacks = 0;  ///< dense survivor cohorts assembled
@@ -299,8 +296,7 @@ private:
     /// Exact-stage route precomputed per cohort (see choice_).
     enum class CohortPath : std::uint8_t {
         kStriped = 0,   ///< per-subject striped fallback (low fill)
-        kInterseq = 1,  ///< untiled inter-sequence u8
-        kTiled = 2,     ///< query-tiled inter-sequence u8
+        kInterseq = 1,  ///< inter-sequence u8
     };
 
     /// One worker's stage-1 cost model: decides, cohort by cohort,
@@ -329,9 +325,9 @@ private:
 
         double sweep_ns = 0.0;  ///< per cohort cell; 0 = not measured
         /// Exact-stage time per unit of work, by CohortPath.
-        double exact_ns[3] = {};
+        double exact_ns[2] = {};
         /// Saved share of the exact cost, by CohortPath; < 0 = unknown.
-        double saved[3] = {-1.0, -1.0, -1.0};
+        double saved[2] = {-1.0, -1.0};
         std::uint64_t skip = 0;     ///< cohorts left before the next probe
         std::uint64_t backoff = 0;  ///< current skip run; 0 = paying
         /// Threshold at which the last rejected sweep would have paid.
@@ -420,7 +416,6 @@ private:
         std::uint64_t settled8 = 0;
         std::uint64_t settled_wide = 0;
         std::uint64_t cohorts_interseq = 0;
-        std::uint64_t cohorts_tiled = 0;
         std::uint64_t cohorts_compacted = 0;
         std::uint64_t cohorts_striped = 0;
         std::uint64_t repacks = 0;
@@ -536,8 +531,9 @@ private:
             // length it stops pruning — the sweep cost model in
             // claim_cohorts stops paying for it there; tightening the
             // bound here does not (a single-tile i16 sweep was tried
-            // and measures ~40% SLOWER per cohort than the exact tiled
-            // u8 kernel it feeds, while still pruning nothing long).
+            // and measures ~40% SLOWER per cohort than the exact
+            // inter-sequence u8 kernel it feeds, while still pruning
+            // nothing long).
             const std::size_t tiles =
                 (qlen + kFilterChunkRows - 1) / kFilterChunkRows;
             const std::size_t rows = (qlen + tiles - 1) / tiles;
@@ -594,10 +590,10 @@ private:
     /// Stage 1 prunes lanes when the threshold feed is live and the
     /// worker's SweepModel expects the sweep to pay for itself, stage 2
     /// exact-scores the survivors with the route from choice_ —
-    /// untiled or query-tiled inter-sequence for well-filled cohorts,
-    /// per-subject striped for the low-fill rest — batching the
-    /// survivors of mostly-pruned interseq cohorts into dense repacked
-    /// cohorts instead of masking dead lanes.
+    /// inter-sequence for well-filled cohorts, per-subject striped for
+    /// the low-fill rest — batching the survivors of mostly-pruned
+    /// interseq cohorts into dense repacked cohorts instead of masking
+    /// dead lanes.
     template <class EmitFn, class PrunedFn>
     SWH_HOT_PATH bool claim_cohorts(ScanScratch& scratch, EmitFn&& emit,
                                     PrunedFn&& pruned,
@@ -609,7 +605,6 @@ private:
         const std::size_t claim = std::max<std::size_t>(1, chunk_ / w);
         std::uint8_t lane_best[64];
         Score bound[64];
-        InterseqColumnState colstate;
         // Survivor batch for the repack path; both vectors stay empty
         // (no allocation) until the prefilter actually starves a
         // cohort below the cutover.
@@ -690,21 +685,12 @@ private:
                 if (path != CohortPath::kStriped &&
                     nsurv * kFunnelStripedCutover > d.lanes_used) {
                     ++t.cohorts_interseq;
-                    if (path == CohortPath::kTiled) ++t.cohorts_tiled;
                     if (compacted) ++t.cohorts_compacted;
                     const auto t0 = SweepModel::Clock::now();
-                    const std::uint64_t ovf =
-                        path == CohortPath::kTiled
-                            ? sw_interseq_u8_tiled(
-                                  *aligner_->interseq(),
-                                  cohorts_.arena + d.offset, d.columns,
-                                  aligner_->gap(), aligner_->isa(), scratch,
-                                  colstate, lane_best)
-                            : sw_interseq_u8(*aligner_->interseq(),
-                                             cohorts_.arena + d.offset,
-                                             d.columns, aligner_->gap(),
-                                             aligner_->isa(), scratch,
-                                             lane_best);
+                    const std::uint64_t ovf = sw_interseq_u8(
+                        *aligner_->interseq(), cohorts_.arena + d.offset,
+                        d.columns, aligner_->gap(), aligner_->isa(), scratch,
+                        lane_best);
                     model.exact(path, SweepModel::ns_since(t0), cells);
                     std::uint64_t& subj = compacted ? t.subjects_compacted
                                                     : t.subjects_interseq;
@@ -754,20 +740,19 @@ private:
             // this claim's wide-rescore pass.
             if (keep && pending.size() >= w) {
                 keep = flush_repack(pending, /*force=*/false, scratch,
-                                    colstate, repack, emit, overflow, t);
+                                    repack, emit, overflow, t);
             }
             // With the prefilter armed, settle this claim's deferred
             // lanes now instead of at end of run: the u8-overflowed
             // lanes ARE the likely top scorers, and the threshold can
             // only rise once their exact scores reach the caller.
             if (keep && threshold_ != nullptr && !overflow.empty()) {
-                keep = drain_overflow(overflow, scratch, colstate, repack,
-                                      emit, t);
+                keep = drain_overflow(overflow, scratch, repack, emit, t);
             }
         }
         if (keep && !pending.empty()) {
-            keep = flush_repack(pending, /*force=*/true, scratch, colstate,
-                                repack, emit, overflow, t);
+            keep = flush_repack(pending, /*force=*/true, scratch, repack,
+                                emit, overflow, t);
         }
         // Exhaustive scans arrive here with the whole run's deferred
         // batch, armed scans with at most the final flush's stragglers;
@@ -775,15 +760,14 @@ private:
         // serial fallback only ever serves the packed claim_subjects
         // path.
         if (keep && !overflow.empty()) {
-            keep = drain_overflow(overflow, scratch, colstate, repack, emit,
-                                  t);
+            keep = drain_overflow(overflow, scratch, repack, emit, t);
         }
         return keep;
     }
 
     /// Re-packs batched funnel survivors into dense scratch cohorts
     /// (column-major, pad sentinel, exactly the layout geometry) and
-    /// scores them with the (tiled) inter-sequence u8 kernel. Pending
+    /// scores them with the inter-sequence u8 kernel. Pending
     /// survivors are first sorted length-descending and split at
     /// length cliffs with the layout compaction's greedy fill rule —
     /// claims arrive primed-first, so a straggler long survivor must
@@ -797,15 +781,13 @@ private:
     template <class EmitFn>
     SWH_HOT_PATH bool flush_repack(std::vector<std::uint32_t>& pending,
                                    bool force,
-                      ScanScratch& scratch, InterseqColumnState& colstate,
-                      std::vector<Code>& repack, EmitFn&& emit,
-                      std::vector<std::uint32_t>& overflow,
+                      ScanScratch& scratch, std::vector<Code>& repack,
+                      EmitFn&& emit, std::vector<std::uint32_t>& overflow,
                       WorkerTallies& t) {
         bool keep = true;
         const auto w = static_cast<std::size_t>(cohorts_.lanes);
-        const std::size_t qlen = aligner_->interseq()->query_len;
-        const bool tiled = qlen > kInterseqTileRows;
-        const std::uint64_t bar = min_fill_pct(qlen);
+        const std::uint64_t bar =
+            min_fill_pct(aligner_->interseq()->query_len);
         std::sort(pending.begin(), pending.end(),
                   [this](std::uint32_t a, std::uint32_t b) {
                       const std::uint32_t la = subjects_.lengths[a];
@@ -836,9 +818,8 @@ private:
                     pending[kept++] = pending[i];
                 }
             } else if (residues * 100 >= columns * w * bar) {
-                keep = repack_batch(pending.data() + at, count, tiled,
-                                    scratch, colstate, repack, emit,
-                                    overflow, t);
+                keep = repack_batch(pending.data() + at, count, scratch,
+                                    repack, emit, overflow, t);
             } else {
                 for (std::size_t i = at; i < end && keep; ++i) {
                     keep = score_striped(pending[i], scratch, emit,
@@ -858,11 +839,10 @@ private:
     /// interleaved column-major into `repack` and scored together.
     template <class EmitFn>
     SWH_HOT_PATH bool repack_batch(const std::uint32_t* batch,
-                                   std::size_t count,
-                      bool tiled, ScanScratch& scratch,
-                      InterseqColumnState& colstate, std::vector<Code>& repack,
-                      EmitFn&& emit, std::vector<std::uint32_t>& overflow,
-                      WorkerTallies& t) {
+                                   std::size_t count, ScanScratch& scratch,
+                                   std::vector<Code>& repack, EmitFn&& emit,
+                                   std::vector<std::uint32_t>& overflow,
+                                   WorkerTallies& t) {
         const auto w = static_cast<std::size_t>(cohorts_.lanes);
         std::uint32_t columns = 0;
         for (std::size_t i = 0; i < count; ++i) {
@@ -879,17 +859,11 @@ private:
         }
         ++t.repacks;
         ++t.cohorts_interseq;
-        if (tiled) ++t.cohorts_tiled;
         ++t.cohorts_compacted;
         std::uint8_t lane_best[64];
-        const std::uint64_t ovf =
-            tiled ? sw_interseq_u8_tiled(*aligner_->interseq(), repack.data(),
-                                         columns, aligner_->gap(),
-                                         aligner_->isa(), scratch, colstate,
-                                         lane_best)
-                  : sw_interseq_u8(*aligner_->interseq(), repack.data(),
-                                   columns, aligner_->gap(), aligner_->isa(),
-                                   scratch, lane_best);
+        const std::uint64_t ovf = sw_interseq_u8(
+            *aligner_->interseq(), repack.data(), columns, aligner_->gap(),
+            aligner_->isa(), scratch, lane_best);
         bool keep = true;
         for (std::size_t i = 0; i < count && keep; ++i) {
             const std::uint32_t idx = batch[i];
@@ -918,13 +892,10 @@ private:
     /// fixed cost is lower. Leaves `overflow` empty.
     template <class EmitFn>
     SWH_HOT_PATH bool drain_overflow(std::vector<std::uint32_t>& overflow,
-                        ScanScratch& scratch, InterseqColumnState& colstate,
-                        std::vector<Code>& repack, EmitFn&& emit,
-                        WorkerTallies& t) {
+                        ScanScratch& scratch, std::vector<Code>& repack,
+                        EmitFn&& emit, WorkerTallies& t) {
         bool keep = true;
         const auto w = static_cast<std::size_t>(cohorts_.lanes);
-        const std::size_t qlen = aligner_->interseq()->query_len;
-        const bool tiled = qlen > kInterseqTileRows;
         std::sort(overflow.begin(), overflow.end(),
                   [this](std::uint32_t a, std::uint32_t b) {
                       const std::uint32_t la = subjects_.lengths[a];
@@ -947,8 +918,8 @@ private:
             }
             const std::size_t count = end - at;
             if (count >= kEscalateBatchMin) {
-                keep = escalate_batch(overflow.data() + at, count, tiled,
-                                      scratch, colstate, repack, emit, t);
+                keep = escalate_batch(overflow.data() + at, count, scratch,
+                                      repack, emit, t);
             } else {
                 for (std::size_t i = at; i < end && keep; ++i) {
                     const std::uint32_t idx = overflow[i];
@@ -968,7 +939,7 @@ private:
 
     /// One dense escalation cohort: `count` deferred subjects (original
     /// indices, count <= W) re-packed column-major into `repack` and
-    /// settled together by the (tiled) i16 inter-sequence kernel, with
+    /// settled together by the i16 inter-sequence kernel, with
     /// the lo-half variant when the group fits half the lanes. Lanes
     /// the i16 pass itself flags as saturated go straight to the exact
     /// int32 rescore — the striped i16 attempt rescore_wide would run
@@ -976,10 +947,9 @@ private:
     template <class EmitFn>
     SWH_HOT_PATH bool escalate_batch(const std::uint32_t* batch,
                                      std::size_t count,
-                        bool tiled, ScanScratch& scratch,
-                        InterseqColumnState& colstate,
-                        std::vector<Code>& repack, EmitFn&& emit,
-                        WorkerTallies& t) {
+                                     ScanScratch& scratch,
+                                     std::vector<Code>& repack, EmitFn&& emit,
+                                     WorkerTallies& t) {
         const auto w = static_cast<std::size_t>(cohorts_.lanes);
         std::uint32_t columns = 0;
         for (std::size_t i = 0; i < count; ++i) {
@@ -996,14 +966,9 @@ private:
         }
         ++t.escalations16;
         std::int16_t lane_best[64];
-        const std::uint64_t ovf =
-            tiled ? sw_interseq_i16_tiled(*aligner_->interseq(),
-                                          repack.data(), columns,
-                                          aligner_->gap(), aligner_->isa(),
-                                          scratch, colstate, lane_best, count)
-                  : sw_interseq_i16(*aligner_->interseq(), repack.data(),
-                                    columns, aligner_->gap(), aligner_->isa(),
-                                    scratch, lane_best, count);
+        const std::uint64_t ovf = sw_interseq_i16(
+            *aligner_->interseq(), repack.data(), columns, aligner_->gap(),
+            aligner_->isa(), scratch, lane_best, count);
         bool keep = true;
         std::uint64_t settled16 = 0;
         for (std::size_t i = 0; i < count && keep; ++i) {
@@ -1052,7 +1017,7 @@ private:
     /// caller; its value must only ever increase.
     const std::atomic<Score>* threshold_ = nullptr;
     /// Per-cohort exact-stage route, precomputed at construction from
-    /// query length (untiled vs tiled) and cohort fill (vs striped).
+    /// cohort fill against the query-length-dependent bar.
     std::vector<CohortPath> choice_;
     /// Claim-slot -> cohort-index permutation, built only when the
     /// prefilter is armed: the kPrimeCohorts cohorts whose mean subject
@@ -1064,8 +1029,8 @@ private:
     /// untouched).
     std::vector<std::uint32_t> prime_order_;
     std::atomic<std::size_t> next_{0};
-    std::atomic<std::uint64_t> cohorts_interseq_{0}, cohorts_tiled_{0};
-    std::atomic<std::uint64_t> cohorts_compacted_{0}, cohorts_striped_{0};
+    std::atomic<std::uint64_t> cohorts_interseq_{0}, cohorts_compacted_{0};
+    std::atomic<std::uint64_t> cohorts_striped_{0};
     std::atomic<std::uint64_t> repacks_{0}, escalations16_{0};
     std::atomic<std::uint64_t> subjects_interseq_{0}, subjects_compacted_{0};
     std::atomic<std::uint64_t> subjects_striped_{0};

@@ -1,42 +1,12 @@
 #include "align/interseq.hpp"
 
 #include <algorithm>
-#include <new>
 
 #include "align/interseq_kernels.hpp"
 #include "simd/simd.hpp"
 #include "util/error.hpp"
 
 namespace swh::align {
-
-namespace {
-constexpr std::size_t kColumnStateAlign = 64;
-}
-
-void InterseqColumnState::Free::operator()(std::byte* p) const {
-    ::operator delete[](p, std::align_val_t{kColumnStateAlign});
-}
-
-InterseqColumnState::Arrays InterseqColumnState::arrays(
-    std::size_t bytes_per_array) {
-    // Both carried arrays live in one allocation, each rounded up to
-    // the alignment so the F half starts aligned too. Geometric growth:
-    // a scan touches many cohort widths, and reallocating per cohort
-    // would put an allocation in the steady-state hot path.
-    const std::size_t rounded =
-        (bytes_per_array + kColumnStateAlign - 1) & ~(kColumnStateAlign - 1);
-    const std::size_t need = 2 * rounded;
-    if (need > capacity_) {
-        const std::size_t grown = std::max(need, capacity_ * 2);
-        buffer_.reset(static_cast<std::byte*>(
-            ::operator new[](grown, std::align_val_t{kColumnStateAlign})));
-        capacity_ = grown;
-    }
-    Arrays a;
-    a.h = buffer_.get();
-    a.f = buffer_.get() + rounded;
-    return a;
-}
 
 bool interseq_supported(const ScoreMatrix& matrix) {
     // Residue codes plus the padding sentinel must fit the 32-entry
@@ -80,22 +50,22 @@ std::uint64_t sw_interseq_u8(const InterseqProfile& profile, const Code* cols,
                              std::uint8_t* lane_best) {
     switch (isa) {
         case simd::IsaLevel::Scalar:
-            return detail::interseq_u8<simd::U8x16s>(profile, cols, columns,
-                                                     gap, scratch, lane_best);
+            return detail::interseq_tiles_u8<simd::U8x16s>(
+                profile, cols, columns, gap, scratch, lane_best);
 #if defined(__SSE2__)
         case simd::IsaLevel::SSE2:
-            return detail::interseq_u8<simd::U8x16>(profile, cols, columns,
-                                                    gap, scratch, lane_best);
+            return detail::interseq_tiles_u8<simd::U8x16>(
+                profile, cols, columns, gap, scratch, lane_best);
 #endif
 #if defined(__AVX2__)
         case simd::IsaLevel::AVX2:
-            return detail::interseq_u8<simd::U8x32>(profile, cols, columns,
-                                                    gap, scratch, lane_best);
+            return detail::interseq_tiles_u8<simd::U8x32>(
+                profile, cols, columns, gap, scratch, lane_best);
 #endif
 #if defined(__AVX512BW__)
         case simd::IsaLevel::AVX512:
-            return detail::interseq_u8<simd::U8x64>(profile, cols, columns,
-                                                    gap, scratch, lane_best);
+            return detail::interseq_tiles_u8<simd::U8x64>(
+                profile, cols, columns, gap, scratch, lane_best);
 #endif
         default:
             break;
@@ -106,10 +76,21 @@ std::uint64_t sw_interseq_u8(const InterseqProfile& profile, const Code* cols,
 
 namespace {
 
-/// True when the occupancy hint allows skipping the hi i16 half-vectors
-/// of a W-lane cohort: the caller packed lanes [0, lanes_used) only.
-constexpr bool lo_half_fits(std::size_t lanes_used, int w) {
-    return lanes_used != 0 && lanes_used * 2 <= static_cast<std::size_t>(w);
+/// The i16 kernel for backend V, with the hi i16 half-vectors compiled
+/// out when the occupancy hint says the caller packed lanes
+/// [0, lanes_used) of at most half the cohort.
+template <class V>
+std::uint64_t interseq_i16_for(const InterseqProfile& profile,
+                               const Code* cols, std::size_t columns,
+                               GapPenalty gap, ScanScratch& scratch,
+                               std::int16_t* lane_best,
+                               std::size_t lanes_used) {
+    return lanes_used != 0 &&
+                   lanes_used * 2 <= static_cast<std::size_t>(V::kLanes)
+               ? detail::interseq_tiles_i16<V, true>(profile, cols, columns,
+                                                     gap, scratch, lane_best)
+               : detail::interseq_tiles_i16<V>(profile, cols, columns, gap,
+                                               scratch, lane_best);
 }
 
 }  // namespace
@@ -121,119 +102,22 @@ std::uint64_t sw_interseq_i16(const InterseqProfile& profile, const Code* cols,
                               std::size_t lanes_used) {
     switch (isa) {
         case simd::IsaLevel::Scalar:
-            return lo_half_fits(lanes_used, simd::U8x16s::kLanes)
-                       ? detail::interseq_i16<simd::U8x16s, true>(
-                             profile, cols, columns, gap, scratch, lane_best)
-                       : detail::interseq_i16<simd::U8x16s>(
-                             profile, cols, columns, gap, scratch, lane_best);
+            return interseq_i16_for<simd::U8x16s>(
+                profile, cols, columns, gap, scratch, lane_best, lanes_used);
 #if defined(__SSE2__)
         case simd::IsaLevel::SSE2:
-            return lo_half_fits(lanes_used, simd::U8x16::kLanes)
-                       ? detail::interseq_i16<simd::U8x16, true>(
-                             profile, cols, columns, gap, scratch, lane_best)
-                       : detail::interseq_i16<simd::U8x16>(
-                             profile, cols, columns, gap, scratch, lane_best);
+            return interseq_i16_for<simd::U8x16>(
+                profile, cols, columns, gap, scratch, lane_best, lanes_used);
 #endif
 #if defined(__AVX2__)
         case simd::IsaLevel::AVX2:
-            return lo_half_fits(lanes_used, simd::U8x32::kLanes)
-                       ? detail::interseq_i16<simd::U8x32, true>(
-                             profile, cols, columns, gap, scratch, lane_best)
-                       : detail::interseq_i16<simd::U8x32>(
-                             profile, cols, columns, gap, scratch, lane_best);
+            return interseq_i16_for<simd::U8x32>(
+                profile, cols, columns, gap, scratch, lane_best, lanes_used);
 #endif
 #if defined(__AVX512BW__)
         case simd::IsaLevel::AVX512:
-            return lo_half_fits(lanes_used, simd::U8x64::kLanes)
-                       ? detail::interseq_i16<simd::U8x64, true>(
-                             profile, cols, columns, gap, scratch, lane_best)
-                       : detail::interseq_i16<simd::U8x64>(
-                             profile, cols, columns, gap, scratch, lane_best);
-#endif
-        default:
-            break;
-    }
-    SWH_REQUIRE(false, "ISA level not compiled in");
-    return 0;
-}
-
-std::uint64_t sw_interseq_u8_tiled(const InterseqProfile& profile,
-                                   const Code* cols, std::size_t columns,
-                                   GapPenalty gap, simd::IsaLevel isa,
-                                   ScanScratch& scratch,
-                                   InterseqColumnState& state,
-                                   std::uint8_t* lane_best) {
-    switch (isa) {
-        case simd::IsaLevel::Scalar:
-            return detail::interseq_u8_tiled<simd::U8x16s>(
-                profile, cols, columns, gap, scratch, state, lane_best);
-#if defined(__SSE2__)
-        case simd::IsaLevel::SSE2:
-            return detail::interseq_u8_tiled<simd::U8x16>(
-                profile, cols, columns, gap, scratch, state, lane_best);
-#endif
-#if defined(__AVX2__)
-        case simd::IsaLevel::AVX2:
-            return detail::interseq_u8_tiled<simd::U8x32>(
-                profile, cols, columns, gap, scratch, state, lane_best);
-#endif
-#if defined(__AVX512BW__)
-        case simd::IsaLevel::AVX512:
-            return detail::interseq_u8_tiled<simd::U8x64>(
-                profile, cols, columns, gap, scratch, state, lane_best);
-#endif
-        default:
-            break;
-    }
-    SWH_REQUIRE(false, "ISA level not compiled in");
-    return 0;
-}
-
-std::uint64_t sw_interseq_i16_tiled(const InterseqProfile& profile,
-                                    const Code* cols, std::size_t columns,
-                                    GapPenalty gap, simd::IsaLevel isa,
-                                    ScanScratch& scratch,
-                                    InterseqColumnState& state,
-                                    std::int16_t* lane_best,
-                                    std::size_t lanes_used) {
-    switch (isa) {
-        case simd::IsaLevel::Scalar:
-            return lo_half_fits(lanes_used, simd::U8x16s::kLanes)
-                       ? detail::interseq_i16_tiled<simd::U8x16s, true>(
-                             profile, cols, columns, gap, scratch, state,
-                             lane_best)
-                       : detail::interseq_i16_tiled<simd::U8x16s>(
-                             profile, cols, columns, gap, scratch, state,
-                             lane_best);
-#if defined(__SSE2__)
-        case simd::IsaLevel::SSE2:
-            return lo_half_fits(lanes_used, simd::U8x16::kLanes)
-                       ? detail::interseq_i16_tiled<simd::U8x16, true>(
-                             profile, cols, columns, gap, scratch, state,
-                             lane_best)
-                       : detail::interseq_i16_tiled<simd::U8x16>(
-                             profile, cols, columns, gap, scratch, state,
-                             lane_best);
-#endif
-#if defined(__AVX2__)
-        case simd::IsaLevel::AVX2:
-            return lo_half_fits(lanes_used, simd::U8x32::kLanes)
-                       ? detail::interseq_i16_tiled<simd::U8x32, true>(
-                             profile, cols, columns, gap, scratch, state,
-                             lane_best)
-                       : detail::interseq_i16_tiled<simd::U8x32>(
-                             profile, cols, columns, gap, scratch, state,
-                             lane_best);
-#endif
-#if defined(__AVX512BW__)
-        case simd::IsaLevel::AVX512:
-            return lo_half_fits(lanes_used, simd::U8x64::kLanes)
-                       ? detail::interseq_i16_tiled<simd::U8x64, true>(
-                             profile, cols, columns, gap, scratch, state,
-                             lane_best)
-                       : detail::interseq_i16_tiled<simd::U8x64>(
-                             profile, cols, columns, gap, scratch, state,
-                             lane_best);
+            return interseq_i16_for<simd::U8x64>(
+                profile, cols, columns, gap, scratch, lane_best, lanes_used);
 #endif
         default:
             break;

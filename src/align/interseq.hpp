@@ -20,7 +20,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -93,51 +92,20 @@ struct InterseqProfile {
     }
 };
 
-/// Query rows per tile of the query-tiled kernel variants: each tile's
-/// DP row arrays (two query-tile rows of W-lane vectors) stay L1/L2
+/// Query rows per tile of the inter-sequence kernels: each tile's DP
+/// row arrays (two query-tile rows of W-lane vectors) stay L1/L2
 /// resident where a monolithic sweep of a 2000+ residue query spills.
-/// Also the untiled/tiled dispatch boundary in align::DatabaseScanner.
+/// A query of up to this many rows is a single tile.
 constexpr std::size_t kInterseqTileRows = 256;
 
-/// Number of query tiles the tiled kernels cut a query of `qlen` rows
-/// into: balanced tiles (sizes differ by at most one row) of at most
+/// Number of query tiles the kernels cut a query of `qlen` rows into:
+/// balanced tiles (sizes differ by at most one row) of at most
 /// kInterseqTileRows rows each.
 constexpr std::size_t interseq_tile_count(std::size_t qlen) {
     return qlen <= kInterseqTileRows
                ? std::size_t{1}
                : (qlen + kInterseqTileRows - 1) / kInterseqTileRows;
 }
-
-/// Caller-owned carried column state for the query-tiled kernels: per
-/// subject column, the H values of a tile's bottom row and the running
-/// vertical-gap (F) values entering the next tile. Lives outside
-/// ScanScratch because kernel_buffers() may move when it grows — the
-/// carried state must stay put across the per-tile buffer requests.
-/// One instance per worker thread; the same instance serves u8 and i16
-/// calls of any cohort width (the buffer only ever grows).
-class InterseqColumnState {
-public:
-    struct Arrays {
-        void* h = nullptr;  ///< bottom-row H per column
-        void* f = nullptr;  ///< carried F per column
-    };
-
-    /// Returns the two carried arrays, each `bytes_per_array` long and
-    /// 64-byte aligned, growing the backing allocation if needed. The
-    /// contents are kernel-internal scratch — callers never initialise
-    /// or read them.
-    Arrays arrays(std::size_t bytes_per_array);
-
-    std::size_t capacity() const { return capacity_; }
-
-private:
-    struct Free {
-        void operator()(std::byte* p) const;
-    };
-
-    std::unique_ptr<std::byte[], Free> buffer_;
-    std::size_t capacity_ = 0;
-};
 
 /// True if the matrix fits the inter-sequence kernels: alphabet small
 /// enough for 5-bit codes plus the padding sentinel, and the biased
@@ -153,51 +121,28 @@ InterseqProfile build_interseq_profile(std::span<const Code> query,
 /// returns the saturating-overflow lane mask (bit l set = lane l may
 /// have saturated, same `score + bias >= 255` bound as the striped u8
 /// kernel; those subjects must be settled by a wider kernel). Residues
-/// must be pre-validated (< alphabet size, or == kPadCode).
+/// must be pre-validated (< alphabet size, or == kPadCode). The query
+/// is processed in interseq_tile_count() row tiles whose carried
+/// column state lives in `scratch` (ScanScratch::column_carry), so a
+/// warm scratch makes the call allocation-free at any query length.
 SWH_HOT_PATH std::uint64_t sw_interseq_u8(const InterseqProfile& profile, const Code* cols,
                              std::size_t columns, GapPenalty gap,
                              simd::IsaLevel isa, ScanScratch& scratch,
                              std::uint8_t* lane_best);
 
 /// 16-bit companion: same cohort geometry (the u8 lane count — each
-/// lane is widened to two i16 half-vectors internally), per-lane i16
-/// best scores and the `score + max_raw >= 32767` overflow mask of the
-/// striped i16 kernel. `lanes_used` is an optional occupancy hint
-/// (0 = all lanes): when the caller packed at most half the lanes —
-/// typical for the scanner's 8 -> 16 escalation batches — the kernel
-/// skips the all-pad hi half-vectors entirely. Lanes are dataflow-
-/// independent, so the used lanes' scores and overflow bits are
-/// unchanged; unused lanes report score 0.
+/// lane is widened to two i16 half-vectors internally), same tiling,
+/// per-lane i16 best scores and the `score + max_raw >= 32767` overflow
+/// mask of the striped i16 kernel. `lanes_used` is an optional
+/// occupancy hint (0 = all lanes): when the caller packed at most half
+/// the lanes — typical for the scanner's 8 -> 16 escalation batches —
+/// the kernel skips the all-pad hi half-vectors entirely. Lanes are
+/// dataflow-independent, so the used lanes' scores and overflow bits
+/// are unchanged; unused lanes report score 0.
 SWH_HOT_PATH std::uint64_t sw_interseq_i16(const InterseqProfile& profile, const Code* cols,
                               std::size_t columns, GapPenalty gap,
                               simd::IsaLevel isa, ScanScratch& scratch,
                               std::int16_t* lane_best,
                               std::size_t lanes_used = 0);
-
-/// Query-tiled u8 kernel for long queries: processes the query in
-/// interseq_tile_count() balanced row tiles (each <= kInterseqTileRows
-/// rows), carrying per-column H/F state through `state` so only the
-/// tile's own DP rows compete for cache. Scores and the overflow mask
-/// are bit-identical to sw_interseq_u8 — tiling changes the cell visit
-/// order, not the dataflow, and every op is per-cell saturating.
-SWH_HOT_PATH std::uint64_t sw_interseq_u8_tiled(const InterseqProfile& profile,
-                                   const Code* cols, std::size_t columns,
-                                   GapPenalty gap, simd::IsaLevel isa,
-                                   ScanScratch& scratch,
-                                   InterseqColumnState& state,
-                                   std::uint8_t* lane_best);
-
-/// 16-bit companion of the tiled kernel, for the 8 -> 16 escalation of
-/// tiled cohorts: same tiling geometry, carried state held as i16
-/// half-vector pairs (widened consistently with the untiled i16
-/// kernel), bit-identical to sw_interseq_i16. `lanes_used` as in
-/// sw_interseq_i16.
-SWH_HOT_PATH std::uint64_t sw_interseq_i16_tiled(const InterseqProfile& profile,
-                                    const Code* cols, std::size_t columns,
-                                    GapPenalty gap, simd::IsaLevel isa,
-                                    ScanScratch& scratch,
-                                    InterseqColumnState& state,
-                                    std::int16_t* lane_best,
-                                    std::size_t lanes_used = 0);
 
 }  // namespace swh::align

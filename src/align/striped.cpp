@@ -88,29 +88,37 @@ void ScanScratch::Free::operator()(std::byte* p) const {
     ::operator delete[](p, std::align_val_t{kScratchAlign});
 }
 
-void ScanScratch::ensure(std::size_t bytes) {
-    if (bytes <= cap_) return;
+void ScanScratch::ensure(Buffer& buf, std::size_t& cap, std::size_t bytes) {
+    if (bytes <= cap) return;
     // Grow geometrically so a length-mixed scan settles after few resizes.
-    const std::size_t cap = std::max(bytes, cap_ * 2);
-    buf_.reset(static_cast<std::byte*>(
-        ::operator new[](cap, std::align_val_t{kScratchAlign})));
-    cap_ = cap;
+    const std::size_t grown = std::max(bytes, cap * 2);
+    buf.reset(static_cast<std::byte*>(
+        ::operator new[](grown, std::align_val_t{kScratchAlign})));
+    cap = grown;
 }
 
 ScanScratch::KernelBuffers ScanScratch::kernel_buffers(
     std::size_t bytes_per_buffer) {
     const std::size_t stride = round_up(bytes_per_buffer);
-    ensure(3 * stride);
+    ensure(buf_, cap_, 3 * stride);
     std::byte* base = buf_.get();
     return {base, base + stride, base + 2 * stride};
 }
 
 ScanScratch::ScoreRows ScanScratch::score_rows(std::size_t cells_per_row) {
     const std::size_t stride = round_up(cells_per_row * sizeof(Score));
-    ensure(2 * stride);
+    ensure(buf_, cap_, 2 * stride);
     std::byte* base = buf_.get();
     return {reinterpret_cast<Score*>(base),
             reinterpret_cast<Score*>(base + stride)};
+}
+
+ScanScratch::ColumnCarry ScanScratch::column_carry(
+    std::size_t bytes_per_array) {
+    const std::size_t stride = round_up(bytes_per_array);
+    ensure(carry_, carry_cap_, 2 * stride);
+    std::byte* base = carry_.get();
+    return {base, base + stride};
 }
 
 Profile8 build_profile8(std::span<const Code> query, const ScoreMatrix& matrix,

@@ -14,12 +14,13 @@
 
 namespace swh::align {
 
-/// Reusable, 64-byte-aligned scratch memory for the striped kernels and
-/// the scalar int32 rescore fallback. One instance per worker thread;
-/// the kernels carve their H/E buffers out of it, so repeated score()
-/// calls perform zero heap allocations once the scratch has grown to the
-/// largest segment in the workload. Not thread-safe — never share one
-/// instance between concurrently scoring threads.
+/// Reusable, 64-byte-aligned scratch memory for the striped, ungapped and
+/// inter-sequence kernels and the scalar int32 rescore fallback. One
+/// instance per worker thread; the kernels carve their H/E buffers out of
+/// it, so repeated score() calls perform zero heap allocations once the
+/// scratch has grown to the largest segment in the workload. Not
+/// thread-safe — never share one instance between concurrently scoring
+/// threads.
 class ScanScratch {
 public:
     /// Three kernel buffers (H-load, H-store, E), each `bytes_per_buffer`
@@ -41,16 +42,30 @@ public:
     };
     ScoreRows score_rows(std::size_t cells_per_row);
 
-    std::size_t capacity() const { return cap_; }
+    /// Carried column state of the query-tiled inter-sequence kernels
+    /// (align/interseq.hpp): per subject column, the H of a tile's
+    /// bottom row and the F entering the next tile, each array
+    /// `bytes_per_array` long and 64-byte aligned. A separate
+    /// allocation from the kernel buffers, so growing those can never
+    /// move the carry while a cohort is in flight. Contents are
+    /// kernel-internal.
+    struct ColumnCarry {
+        void* h;
+        void* f;
+    };
+    ColumnCarry column_carry(std::size_t bytes_per_array);
 
 private:
-    void ensure(std::size_t bytes);
-
     struct Free {
         void operator()(std::byte* p) const;
     };
-    std::unique_ptr<std::byte[], Free> buf_;
+    using Buffer = std::unique_ptr<std::byte[], Free>;
+    static void ensure(Buffer& buf, std::size_t& cap, std::size_t bytes);
+
+    Buffer buf_;
     std::size_t cap_ = 0;
+    Buffer carry_;
+    std::size_t carry_cap_ = 0;
 };
 
 /// Striped query profile (Farrar 2007). For a query of length m split

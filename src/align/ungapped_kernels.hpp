@@ -94,7 +94,7 @@ SWH_HOT_PATH std::uint64_t ungapped_interseq_u8(const InterseqProfile& p, const 
 
 /// 16-bit gap-slack kernel over the same u8-width cohort: each DP row
 /// holds two i16 half-vectors, widened in lane order (the layout of
-/// interseq_i16).
+/// interseq_tiles_i16).
 template <class V>
 SWH_HOT_PATH std::uint64_t ungapped_interseq_i16(const InterseqProfile& p, const Code* cols,
                                     std::size_t columns, GapPenalty gap,

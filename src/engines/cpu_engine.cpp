@@ -178,14 +178,11 @@ core::TaskResult CpuEngine::execute(const align::Sequence& query,
         config_.metrics->counter("engine.cpu.subjects_striped")
             .add(ds.subjects_striped);
         // Route breakdown: why each cohort took the path it did —
-        // tiled-interseq (long query), compacted (ragged membership,
-        // layout- or funnel-repacked), striped-head (fill below the
-        // dispatch bar). Tiled/compacted are subsets of
-        // cohorts_interseq.
+        // interseq, compacted (ragged membership, layout- or funnel-
+        // repacked; a subset of cohorts_interseq), striped-head (fill
+        // below the dispatch bar).
         config_.metrics->counter("scan.dispatch.cohorts_interseq")
             .add(ds.cohorts_interseq);
-        config_.metrics->counter("scan.dispatch.cohorts_tiled")
-            .add(ds.cohorts_tiled);
         config_.metrics->counter("scan.dispatch.cohorts_compacted")
             .add(ds.cohorts_compacted);
         config_.metrics->counter("scan.dispatch.cohorts_striped_head")

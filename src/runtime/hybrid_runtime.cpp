@@ -9,7 +9,6 @@
 
 #include "net/channel.hpp"
 #include "net/messages.hpp"
-#include "obs/sched_log.hpp"
 #include "obs/trace.hpp"
 #include "obs/tracers.hpp"
 #include "runtime/master_loop.hpp"
@@ -163,24 +162,8 @@ RunReport HybridRuntime::run(std::vector<SlaveSpec> slaves,
     // call, so resolving it twice would split the timeline row).
     obs::TraceLane* const master_lane =
         rec != nullptr ? &rec->lane("master") : nullptr;
-    obs::SchedTracer sched_tracer(master_lane, metrics);
-    obs::SchedFanout sched_fanout;
-    if (rec != nullptr || metrics != nullptr) {
-        sched_fanout.add(&sched_tracer);
-    }
-    // Caller-supplied observer (e.g. an obs::WeightLog recording the
-    // PSS weight trajectory) shares the scheduler's observer slot with
-    // the tracer through the fanout. Either alone skips the fanout hop.
-    if (options_.sched_observer != nullptr) {
-        sched_fanout.add(options_.sched_observer);
-    }
-    if (sched_fanout.size() == 1 && options_.sched_observer != nullptr) {
-        sched.set_observer(options_.sched_observer);
-    } else if (sched_fanout.size() == 1) {
-        sched.set_observer(&sched_tracer);
-    } else if (!sched_fanout.empty()) {
-        sched.set_observer(&sched_fanout);
-    }
+    const MasterSchedObservers sched_observers(sched, master_lane, metrics,
+                                               options_.sched_observer);
     obs::ChannelTracer master_chan_tracer(
         rec != nullptr ? &rec->lane("chan:master") : nullptr,
         metrics != nullptr

@@ -12,6 +12,20 @@
 
 namespace swh::runtime {
 
+MasterSchedObservers::MasterSchedObservers(core::SchedulerCore& sched,
+                                           obs::TraceLane* master_lane,
+                                           obs::MetricsRegistry* metrics,
+                                           core::SchedObserver* caller)
+    : tracer_(master_lane, metrics) {
+    if (master_lane != nullptr || metrics != nullptr) fanout_.add(&tracer_);
+    fanout_.add(caller);
+    if (fanout_.size() == 1) {
+        sched.set_observer(caller != nullptr ? caller : &tracer_);
+    } else if (!fanout_.empty()) {
+        sched.set_observer(&fanout_);
+    }
+}
+
 using core::PeId;
 using core::TaskId;
 

@@ -15,7 +15,9 @@
 #include "net/channel.hpp"
 #include "net/messages.hpp"
 #include "obs/metrics.hpp"
+#include "obs/sched_log.hpp"
 #include "obs/trace.hpp"
+#include "obs/tracers.hpp"
 #include "runtime/hybrid_runtime.hpp"
 #include "util/timer.hpp"
 
@@ -45,6 +47,26 @@ struct MasterLoopCounters {
     obs::Counter* presumed_dead = nullptr;
     obs::Counter* late_discards = nullptr;
     obs::Counter* heartbeats = nullptr;
+};
+
+/// The scheduler-observer wiring both masters share: the run's
+/// obs::SchedTracer (on when tracing or metrics are) and the caller's
+/// RuntimeOptions::sched_observer (e.g. an obs::WeightLog recording the
+/// PSS weight trajectory). Both share the scheduler's one observer slot
+/// through a fanout; either alone skips the fanout hop. Attaches itself
+/// on construction, so it must outlive every scheduler call.
+class MasterSchedObservers {
+public:
+    MasterSchedObservers(core::SchedulerCore& sched,
+                         obs::TraceLane* master_lane,
+                         obs::MetricsRegistry* metrics,
+                         core::SchedObserver* caller);
+    MasterSchedObservers(const MasterSchedObservers&) = delete;
+    MasterSchedObservers& operator=(const MasterSchedObservers&) = delete;
+
+private:
+    obs::SchedTracer tracer_;
+    obs::SchedFanout fanout_;
 };
 
 struct MasterLoopConfig {

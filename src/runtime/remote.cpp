@@ -140,10 +140,8 @@ RunReport RemoteMaster::run(std::unique_ptr<core::AllocationPolicy> policy) {
     if (rec != nullptr) rec->reset_epoch();
     obs::TraceLane* const master_lane =
         rec != nullptr ? &rec->lane("master") : nullptr;
-    obs::SchedTracer sched_tracer(master_lane, metrics);
-    if (rec != nullptr || metrics != nullptr) {
-        sched.set_observer(&sched_tracer);
-    }
+    const MasterSchedObservers sched_observers(sched, master_lane, metrics,
+                                               rt.sched_observer);
     obs::ChannelTracer master_chan_tracer(
         rec != nullptr ? &rec->lane("chan:master") : nullptr,
         metrics != nullptr

@@ -1,12 +1,13 @@
-// Golden equivalence of the query-tiled inter-sequence kernels. The
-// tiled variants promise BIT-identical scores and overflow masks to
-// the untiled kernels (and hence to the striped kernels and the scalar
-// oracle): tiling changes the order cells are visited in, not the
+// Golden equivalence of the inter-sequence kernels' query tiling. The
+// kernels cut the query into row tiles and carry per-column H/F state
+// across them; they promise BIT-identical scores and overflow masks to
+// the striped kernels (and to the scalar oracle wherever a lane does
+// not saturate): tiling changes the order cells are visited in, not the
 // dataflow, and every op is per-cell saturating. The suite pins that
 // promise down across every supported ISA, right at the tile
-// boundaries (qlen one below / at / one above a tile multiple), with
-// saturation that must be carried across tiles, and with carried-state
-// reuse between calls.
+// boundaries (a single row, and qlen one below / at / one above a tile
+// multiple), with saturation that must be carried across tiles, and
+// with one ScanScratch — carry included — reused between calls.
 
 #include <gtest/gtest.h>
 
@@ -74,15 +75,16 @@ TEST(InterseqTileCount, BalancedTileBoundaries) {
     EXPECT_EQ(interseq_tile_count(4 * kInterseqTileRows + 7), 5u);
 }
 
-TEST(InterseqTiledKernels, U8BitIdenticalToUntiledAtTileBoundaries) {
-    // One query row below, at, and above each tile boundary, plus a
-    // multi-tile length with a ragged last tile: the carried H/F hand-
-    // off is exercised with full, exactly-full, and barely-spilling
-    // tiles. 2048 + 7 also covers the ISSUE's original boundary set.
+TEST(InterseqTiledKernels, U8BitIdenticalToStripedAtTileBoundaries) {
+    // A single row, one query row below, at, and above each tile
+    // boundary, plus a multi-tile length with a ragged last tile: the
+    // carried H/F hand-off is exercised with full, exactly-full, and
+    // barely-spilling tiles.
     const std::size_t qlens[] = {
-        kInterseqTileRows - 1,     kInterseqTileRows,
-        kInterseqTileRows + 1,     2 * kInterseqTileRows,
-        2 * kInterseqTileRows + 1, 2048 + 7};
+        1,                         kInterseqTileRows - 1,
+        kInterseqTileRows,         kInterseqTileRows + 1,
+        2 * kInterseqTileRows,     2 * kInterseqTileRows + 1,
+        2048 + 7};
     std::uint32_t seed = 211;
     for (const std::size_t qlen : qlens) {
         Rng rng(seed++);
@@ -102,31 +104,26 @@ TEST(InterseqTiledKernels, U8BitIdenticalToUntiledAtTileBoundaries) {
             const std::vector<Code> cols = interleave(subjects, W, columns);
 
             ScanScratch scratch;
-            std::uint8_t flat_best[64];
-            const std::uint64_t flat_ovf = sw_interseq_u8(
-                prof, cols.data(), columns, kGap, isa, scratch, flat_best);
+            std::uint8_t best[64];
+            const std::uint64_t ovf = sw_interseq_u8(
+                prof, cols.data(), columns, kGap, isa, scratch, best);
 
-            InterseqColumnState state;
-            std::uint8_t tiled_best[64];
-            const std::uint64_t tiled_ovf =
-                sw_interseq_u8_tiled(prof, cols.data(), columns, kGap, isa,
-                                     scratch, state, tiled_best);
-
-            EXPECT_EQ(tiled_ovf, flat_ovf)
-                << "isa=" << simd::to_string(isa) << " qlen=" << qlen;
             const Profile8 p8 = build_profile8(q, blosum(), W);
             for (int l = 0; l < W; ++l) {
-                EXPECT_EQ(tiled_best[l], flat_best[l])
-                    << "isa=" << simd::to_string(isa) << " qlen=" << qlen
-                    << " lane=" << l;
                 const StripedResult r =
                     sw_striped_u8(p8, subjects[l], kGap, isa);
-                EXPECT_EQ(static_cast<Score>(tiled_best[l]), r.score)
+                EXPECT_EQ(static_cast<Score>(best[l]), r.score)
                     << "isa=" << simd::to_string(isa) << " qlen=" << qlen
                     << " lane=" << l;
-                EXPECT_EQ(((tiled_ovf >> l) & 1) != 0, r.overflow)
+                EXPECT_EQ(((ovf >> l) & 1) != 0, r.overflow)
                     << "isa=" << simd::to_string(isa) << " qlen=" << qlen
                     << " lane=" << l;
+                if (!r.overflow) {
+                    EXPECT_EQ(static_cast<Score>(best[l]),
+                              sw_score_affine(q, subjects[l], blosum(), kGap))
+                        << "isa=" << simd::to_string(isa) << " qlen=" << qlen
+                        << " lane=" << l;
+                }
             }
         }
     }
@@ -152,26 +149,24 @@ TEST(InterseqTiledKernels, U8SaturationCarriesAcrossTiles) {
         const std::vector<Code> cols = interleave(subjects, W, columns);
 
         ScanScratch scratch;
-        InterseqColumnState state;
-        std::uint8_t flat_best[64];
-        std::uint8_t tiled_best[64];
-        const std::uint64_t flat_ovf = sw_interseq_u8(
-            prof, cols.data(), columns, kGap, isa, scratch, flat_best);
-        const std::uint64_t tiled_ovf = sw_interseq_u8_tiled(
-            prof, cols.data(), columns, kGap, isa, scratch, state,
-            tiled_best);
+        std::uint8_t best[64];
+        const std::uint64_t ovf = sw_interseq_u8(
+            prof, cols.data(), columns, kGap, isa, scratch, best);
 
-        EXPECT_EQ(tiled_ovf, flat_ovf) << simd::to_string(isa);
-        EXPECT_TRUE((tiled_ovf >> 0) & 1) << simd::to_string(isa);
-        EXPECT_TRUE((tiled_ovf >> (W - 1)) & 1) << simd::to_string(isa);
+        EXPECT_TRUE((ovf >> 0) & 1) << simd::to_string(isa);
+        EXPECT_TRUE((ovf >> (W - 1)) & 1) << simd::to_string(isa);
+        const Profile8 p8 = build_profile8(q, blosum(), W);
         for (int l = 0; l < W; ++l) {
-            EXPECT_EQ(tiled_best[l], flat_best[l])
+            const StripedResult r = sw_striped_u8(p8, subjects[l], kGap, isa);
+            EXPECT_EQ(static_cast<Score>(best[l]), r.score)
+                << "isa=" << simd::to_string(isa) << " lane=" << l;
+            EXPECT_EQ(((ovf >> l) & 1) != 0, r.overflow)
                 << "isa=" << simd::to_string(isa) << " lane=" << l;
         }
     }
 }
 
-TEST(InterseqTiledKernels, I16BitIdenticalToUntiledAndStriped) {
+TEST(InterseqTiledKernels, I16BitIdenticalToStripedAndOracle) {
     Rng rng(227);
     // Wide-lane rescue path for long queries: i16 carried state is a
     // [lo,hi] half-vector pair per column, escalated consistently from
@@ -195,30 +190,22 @@ TEST(InterseqTiledKernels, I16BitIdenticalToUntiledAndStriped) {
         const std::vector<Code> cols = interleave(subjects, W, columns);
 
         ScanScratch scratch;
-        InterseqColumnState state;
-        std::int16_t flat_best[64];
-        std::int16_t tiled_best[64];
-        const std::uint64_t flat_ovf = sw_interseq_i16(
-            prof, cols.data(), columns, kGap, isa, scratch, flat_best);
-        const std::uint64_t tiled_ovf = sw_interseq_i16_tiled(
-            prof, cols.data(), columns, kGap, isa, scratch, state,
-            tiled_best);
+        std::int16_t best[64];
+        const std::uint64_t ovf = sw_interseq_i16(
+            prof, cols.data(), columns, kGap, isa, scratch, best);
 
-        EXPECT_EQ(tiled_ovf, flat_ovf) << simd::to_string(isa);
         const Profile16 p16 = build_profile16(q, matrix, lanes_i16(isa));
         bool any_overflow = false;
         for (int l = 0; l < W; ++l) {
-            EXPECT_EQ(tiled_best[l], flat_best[l])
-                << "isa=" << simd::to_string(isa) << " lane=" << l;
             const StripedResult r =
                 sw_striped_i16(p16, subjects[l], kGap, isa);
-            EXPECT_EQ(static_cast<Score>(tiled_best[l]), r.score)
+            EXPECT_EQ(static_cast<Score>(best[l]), r.score)
                 << "isa=" << simd::to_string(isa) << " lane=" << l;
-            EXPECT_EQ(((tiled_ovf >> l) & 1) != 0, r.overflow)
+            EXPECT_EQ(((ovf >> l) & 1) != 0, r.overflow)
                 << "isa=" << simd::to_string(isa) << " lane=" << l;
             any_overflow |= r.overflow;
             if (!r.overflow) {
-                EXPECT_EQ(static_cast<Score>(tiled_best[l]),
+                EXPECT_EQ(static_cast<Score>(best[l]),
                           sw_score_affine(q, subjects[l], matrix, kGap));
             }
         }
@@ -230,8 +217,9 @@ TEST(InterseqTiledKernels, I16LoHalfHintBitIdentical) {
     // The scanner's 8 -> 16 escalation batches often fill at most half
     // a cohort's lanes; the lanes_used hint then compiles out the
     // all-pad hi half-vectors. The used lanes' scores and overflow
-    // bits must be bit-identical to the full-width kernel, untiled and
-    // tiled, and the skipped lanes must report score 0.
+    // bits must be bit-identical to the full-width kernel and to the
+    // striped i16 kernel, single- and multi-tile, and the skipped
+    // lanes must report score 0.
     Rng rng(233);
     for (const std::size_t qlen :
          {kInterseqTileRows - 3, 2 * kInterseqTileRows + 77}) {
@@ -251,7 +239,6 @@ TEST(InterseqTiledKernels, I16LoHalfHintBitIdentical) {
             const std::vector<Code> cols = interleave(subjects, W, columns);
 
             ScanScratch scratch;
-            InterseqColumnState state;
             std::int16_t full[64], lo[64];
             const std::uint64_t full_ovf = sw_interseq_i16(
                 prof, cols.data(), columns, kGap, isa, scratch, full);
@@ -260,32 +247,20 @@ TEST(InterseqTiledKernels, I16LoHalfHintBitIdentical) {
                                 scratch, lo, used);
             EXPECT_EQ(lo_ovf, full_ovf)
                 << "isa=" << simd::to_string(isa) << " qlen=" << qlen;
+            const Profile16 p16 = build_profile16(q, blosum(), lanes_i16(isa));
             for (int l = 0; l < W; ++l) {
-                const std::int16_t want =
-                    l < static_cast<int>(used) ? full[l] : std::int16_t{0};
+                const bool real = l < static_cast<int>(used);
+                const std::int16_t want = real ? full[l] : std::int16_t{0};
                 EXPECT_EQ(lo[l], want)
                     << "isa=" << simd::to_string(isa) << " qlen=" << qlen
                     << " lane=" << l;
-            }
-
-            std::int16_t tiled_full[64], tiled_lo[64];
-            const std::uint64_t tf_ovf =
-                sw_interseq_i16_tiled(prof, cols.data(), columns, kGap, isa,
-                                      scratch, state, tiled_full);
-            const std::uint64_t tl_ovf =
-                sw_interseq_i16_tiled(prof, cols.data(), columns, kGap, isa,
-                                      scratch, state, tiled_lo, used);
-            EXPECT_EQ(tf_ovf, full_ovf)
-                << "isa=" << simd::to_string(isa) << " qlen=" << qlen;
-            EXPECT_EQ(tl_ovf, full_ovf)
-                << "isa=" << simd::to_string(isa) << " qlen=" << qlen;
-            for (int l = 0; l < W; ++l) {
-                EXPECT_EQ(tiled_full[l], full[l])
+                if (!real) continue;
+                const StripedResult r =
+                    sw_striped_i16(p16, subjects[l], kGap, isa);
+                EXPECT_EQ(static_cast<Score>(full[l]), r.score)
                     << "isa=" << simd::to_string(isa) << " qlen=" << qlen
                     << " lane=" << l;
-                const std::int16_t want =
-                    l < static_cast<int>(used) ? full[l] : std::int16_t{0};
-                EXPECT_EQ(tiled_lo[l], want)
+                EXPECT_EQ(((full_ovf >> l) & 1) != 0, r.overflow)
                     << "isa=" << simd::to_string(isa) << " qlen=" << qlen
                     << " lane=" << l;
             }
@@ -294,10 +269,11 @@ TEST(InterseqTiledKernels, I16LoHalfHintBitIdentical) {
 }
 
 TEST(InterseqTiledKernels, ColumnStateReusableAcrossCallsAndSizes) {
-    // One InterseqColumnState serves a whole worker: back-to-back
-    // cohorts of different widths and column counts must each score as
-    // if the state were fresh — no carry-over between calls, capacity
-    // grows monotonically.
+    // One ScanScratch serves a whole worker, carried column state
+    // included: back-to-back cohorts of different widths, column counts
+    // and precisions — with the kernel buffers regrown in between —
+    // must each score as if the scratch were fresh. No carry-over
+    // between calls.
     Rng rng(229);
     const std::size_t qlen = kInterseqTileRows + 200;
     const std::vector<Code> q = db::random_protein(rng, qlen, "q").residues;
@@ -305,8 +281,7 @@ TEST(InterseqTiledKernels, ColumnStateReusableAcrossCallsAndSizes) {
 
     for (const simd::IsaLevel isa : supported_levels()) {
         const int W = lanes_u8(isa);
-        ScanScratch scratch;
-        InterseqColumnState shared;
+        ScanScratch shared;
         // Big cohort first, then a small one, then the big one again:
         // the small call must not poison the big call's carried state.
         const auto big = random_subjects(
@@ -321,25 +296,36 @@ TEST(InterseqTiledKernels, ColumnStateReusableAcrossCallsAndSizes) {
         const std::vector<Code> small_iv = interleave(small, W, small_cols);
 
         std::uint8_t first[64], again[64], fresh[64];
-        const std::uint64_t ovf_first = sw_interseq_u8_tiled(
-            prof, big_iv.data(), big_cols, kGap, isa, scratch, shared,
-            first);
-        sw_interseq_u8_tiled(prof, small_iv.data(), small_cols, kGap, isa,
-                             scratch, shared, again);
-        const std::uint64_t ovf_again = sw_interseq_u8_tiled(
-            prof, big_iv.data(), big_cols, kGap, isa, scratch, shared,
-            again);
-        InterseqColumnState pristine;
-        const std::uint64_t ovf_fresh = sw_interseq_u8_tiled(
-            prof, big_iv.data(), big_cols, kGap, isa, scratch, pristine,
-            fresh);
+        std::int16_t wide[64], wide_fresh[64];
+        const std::uint64_t ovf_first = sw_interseq_u8(
+            prof, big_iv.data(), big_cols, kGap, isa, shared, first);
+        sw_interseq_u8(prof, small_iv.data(), small_cols, kGap, isa, shared,
+                       again);
+        const std::uint64_t wide_ovf = sw_interseq_i16(
+            prof, small_iv.data(), small_cols, kGap, isa, shared, wide);
+        // Regrow the kernel buffers (the int32 rescore rows alias
+        // them); the carry is a separate allocation and stays put.
+        shared.score_rows(std::size_t{1} << 16);
+        const std::uint64_t ovf_again = sw_interseq_u8(
+            prof, big_iv.data(), big_cols, kGap, isa, shared, again);
+
+        ScanScratch pristine;
+        const std::uint64_t ovf_fresh = sw_interseq_u8(
+            prof, big_iv.data(), big_cols, kGap, isa, pristine, fresh);
+        ScanScratch pristine16;
+        const std::uint64_t wide_fresh_ovf =
+            sw_interseq_i16(prof, small_iv.data(), small_cols, kGap, isa,
+                            pristine16, wide_fresh);
 
         EXPECT_EQ(ovf_again, ovf_first) << simd::to_string(isa);
         EXPECT_EQ(ovf_fresh, ovf_first) << simd::to_string(isa);
+        EXPECT_EQ(wide_ovf, wide_fresh_ovf) << simd::to_string(isa);
         for (int l = 0; l < W; ++l) {
             EXPECT_EQ(again[l], first[l])
                 << "isa=" << simd::to_string(isa) << " lane=" << l;
             EXPECT_EQ(fresh[l], first[l])
+                << "isa=" << simd::to_string(isa) << " lane=" << l;
+            EXPECT_EQ(wide[l], wide_fresh[l])
                 << "isa=" << simd::to_string(isa) << " lane=" << l;
         }
     }

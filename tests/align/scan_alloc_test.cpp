@@ -67,6 +67,19 @@ db::Database alloc_test_db() {
     return db::Database::generate(spec);
 }
 
+/// Length-adjacent subjects: they fill full-width cohorts at every ISA
+/// level, so a cohort-mode scan runs the inter-sequence kernel rather
+/// than the striped fallback.
+db::Database cohort_test_db() {
+    db::DatabaseSpec spec;
+    spec.name = "alloc-cohorts";
+    spec.num_sequences = 256;
+    spec.length.min_len = 90;
+    spec.length.max_len = 130;
+    spec.seed = 55;
+    return db::Database::generate(spec);
+}
+
 TEST(ScanAllocation, ScoreIsAllocationFreeInSteadyState) {
     const db::Database database = alloc_test_db();
     Rng rng(52);
@@ -138,40 +151,47 @@ TEST(ScanAllocation, TopKAddNeverAllocates) {
 TEST(ScanAllocation, EnginePathIsAllocationFreeAfterWarmup) {
     // The engine's per-subject path — cohort-mode scanner emit into a
     // TopK collector — end to end, including the inter-sequence kernel
-    // through a warm scratch.
-    const db::Database database = alloc_test_db();
-    Rng rng(54);
-    const Sequence q = db::random_protein(rng, 150, "q");
-    const ScoreMatrix matrix = ScoreMatrix::blosum62();
-    const StripedAligner aligner(q.residues, matrix, {10, 2});
+    // through a warm scratch: a single-tile query, and a multi-tile one
+    // whose carried column state must live in the warm scratch too.
+    const db::Database database = cohort_test_db();
     const db::PackedDatabase& packed = database.packed();
+    for (const std::size_t qlen : {std::size_t{150},
+                                   2 * kInterseqTileRows + 1}) {
+        Rng rng(54);
+        const Sequence q = db::random_protein(rng, qlen, "q");
+        const ScoreMatrix matrix = ScoreMatrix::blosum62();
+        const StripedAligner aligner(q.residues, matrix, {10, 2});
 
-    DatabaseScanner scanner(
-        aligner, packed.view(), DatabaseScanner::kDefaultChunk,
-        packed.interleaved(lanes_u8(aligner.isa())).view());
-    ASSERT_TRUE(scanner.cohort_mode());
-    ScanScratch scratch;
-    engines::TopK topk(10);
-    // Warm-up scan grows the scratch to the largest cohort.
-    scanner.run_worker(scratch,
-                       [&](std::uint32_t idx, std::uint32_t, Score s) {
-                           topk.add(idx, s);
-                           return true;
-                       });
+        DatabaseScanner scanner(
+            aligner, packed.view(), DatabaseScanner::kDefaultChunk,
+            packed.interleaved(lanes_u8(aligner.isa())).view());
+        ASSERT_TRUE(scanner.cohort_mode());
+        ScanScratch scratch;
+        engines::TopK topk(10);
+        // Warm-up scan grows the scratch to the largest cohort.
+        scanner.run_worker(scratch,
+                           [&](std::uint32_t idx, std::uint32_t, Score s) {
+                               topk.add(idx, s);
+                               return true;
+                           });
+        ASSERT_GT(scanner.dispatch_stats().cohorts_interseq, 0u)
+            << "qlen=" << qlen;
 
-    scanner.reset();
-    const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
-    std::size_t emitted = 0;
-    const bool completed = scanner.run_worker(
-        scratch, [&](std::uint32_t idx, std::uint32_t, Score s) {
-            topk.add(idx, s);
-            ++emitted;
-            return true;
-        });
-    const std::uint64_t after = g_allocs.load(std::memory_order_relaxed);
-    EXPECT_TRUE(completed);
-    EXPECT_EQ(emitted, database.size());
-    EXPECT_EQ(after, before) << "engine scan path allocated in steady state";
+        scanner.reset();
+        const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+        std::size_t emitted = 0;
+        const bool completed = scanner.run_worker(
+            scratch, [&](std::uint32_t idx, std::uint32_t, Score s) {
+                topk.add(idx, s);
+                ++emitted;
+                return true;
+            });
+        const std::uint64_t after = g_allocs.load(std::memory_order_relaxed);
+        EXPECT_TRUE(completed) << "qlen=" << qlen;
+        EXPECT_EQ(emitted, database.size()) << "qlen=" << qlen;
+        EXPECT_EQ(after, before)
+            << "engine scan path allocated in steady state, qlen=" << qlen;
+    }
 }
 
 }  // namespace

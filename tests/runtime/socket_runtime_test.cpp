@@ -17,6 +17,7 @@
 #include "db/presets.hpp"
 #include "engines/cpu_engine.hpp"
 #include "engines/faulty_engine.hpp"
+#include "obs/sched_log.hpp"
 #include "runtime/hybrid_runtime.hpp"
 #include "runtime/remote.hpp"
 
@@ -84,13 +85,15 @@ RemoteEngineFactory cpu_factory(engines::FaultPlan* plan = nullptr) {
     };
 }
 
-/// Runs a RemoteMaster against `n` slave threads dialling loopback TCP.
+/// Runs a RemoteMaster against `n` slave threads dialling loopback TCP,
+/// under self-scheduling unless `policy` is given.
 RunReport run_socket(const db::Database& database,
                      const std::vector<align::Sequence>& queries,
                      RemoteMasterOptions options,
                      std::vector<RemoteEngineFactory> factories,
                      std::vector<RemoteSlaveResult>* slave_results = nullptr,
-                     std::vector<RemoteSlaveOptions> slave_options = {}) {
+                     std::vector<RemoteSlaveOptions> slave_options = {},
+                     std::unique_ptr<core::AllocationPolicy> policy = nullptr) {
     options.expect_slaves = factories.size();
     RemoteMaster master(database, queries, options);
     const std::uint16_t port = master.listen();
@@ -107,7 +110,9 @@ RunReport run_socket(const db::Database& database,
                 run_remote_slave(database, queries, so, factories[i]);
         });
     }
-    RunReport report = master.run(core::make_self_scheduling());
+    RunReport report = master.run(policy != nullptr
+                                      ? std::move(policy)
+                                      : core::make_self_scheduling());
     for (auto& t : slaves) t.join();
     if (slave_results != nullptr) *slave_results = std::move(results);
     return report;
@@ -157,9 +162,45 @@ TEST(SocketRuntime, LoopbackMatchesInProcessAndReference) {
         EXPECT_FALSE(r.report.crashed);
     }
     ASSERT_EQ(socket.slaves.size(), 2u);
-    // Labels/kinds came over the wire in the Hello.
-    EXPECT_EQ(socket.slaves[0].label, "remote0");
-    EXPECT_EQ(socket.slaves[1].label, "remote1");
+    // Labels/kinds came over the wire in the Hello. PeIds follow accept
+    // order, which the slave threads race for: slave i's label sits at
+    // the PeId its Welcome carried.
+    for (std::size_t i = 0; i < slave_results.size(); ++i) {
+        const core::PeId pe = slave_results[i].welcome.pe;
+        ASSERT_LT(pe, socket.slaves.size());
+        EXPECT_EQ(socket.slaves[pe].label, "remote" + std::to_string(i));
+    }
+}
+
+// RuntimeOptions::sched_observer reaches the socket master's scheduler
+// as it does the in-process one: a PSS weight-trajectory log (what
+// swhybrid_search --weights-out writes) records samples over loopback
+// TCP, alongside the metrics tracer sharing the observer slot.
+TEST(SocketRuntime, SchedObserverRecordsPssWeights) {
+    const db::Database database = test_db();
+    const auto queries = test_queries();
+
+    obs::WeightLog weights;
+    obs::MetricsRegistry metrics;
+    RemoteMasterOptions mo;
+    mo.runtime.top_k = 3;
+    mo.runtime.notify_period_s = 0.01;
+    mo.runtime.metrics = &metrics;
+    mo.runtime.sched_observer = &weights;
+    const RunReport report =
+        run_socket(database, queries, mo, {cpu_factory(), cpu_factory()},
+                   nullptr, {}, core::make_pss());
+
+    EXPECT_EQ(report.hits, reference_hits(database, queries, 3));
+    EXPECT_TRUE(report.failed_tasks.empty());
+    // The tracer still sees the scheduler through the fanout...
+    EXPECT_GT(report.metrics.counter("sched.packages"), 0u);
+    // ...and every completed task ends with a final-rate progress report.
+    ASSERT_FALSE(weights.empty());
+    for (const obs::WeightSample& s : weights.samples()) {
+        EXPECT_LT(s.pe, 2u);
+        EXPECT_GT(s.realised_cps, 0.0);
+    }
 }
 
 // The PR-5 fault machinery over sockets: engine failures are retried,
