@@ -323,12 +323,12 @@ int main(int argc, char** argv) {
         row.funnel_speedup = row.funnel_gcups / row.exact_gcups;
         rows.push_back(row);
         // Route breakdown (scan.dispatch.*): why each cohort took its
-        // path — interseq, compacted, or striped-head — so
+        // path — interseq (streamed a subset), or striped-head — so
         // coverage regressions show up without re-benchmarking.
         metrics.counter("scan.dispatch.cohorts_interseq")
             .add(row.dispatch.cohorts_interseq);
-        metrics.counter("scan.dispatch.cohorts_compacted")
-            .add(row.dispatch.cohorts_compacted);
+        metrics.counter("scan.dispatch.cohorts_streamed")
+            .add(row.dispatch.cohorts_streamed);
         metrics.counter("scan.dispatch.cohorts_striped_head")
             .add(row.dispatch.cohorts_striped);
         metrics.counter("scan.dispatch.repacks")
@@ -338,8 +338,6 @@ int main(int argc, char** argv) {
                  row.funnel_dispatch.escalations16);
         metrics.counter("scan.dispatch.subjects_interseq")
             .add(row.dispatch.subjects_interseq);
-        metrics.counter("scan.dispatch.subjects_compacted")
-            .add(row.dispatch.subjects_compacted);
         metrics.counter("scan.dispatch.subjects_striped")
             .add(row.dispatch.subjects_striped);
         metrics.counter("scan.filter.cohorts")
@@ -456,13 +454,12 @@ int main(int argc, char** argv) {
             << ", \"cohorts_filtered\": " << r.filter.cohorts_filtered
             << ", \"tile_count\": " << r.tile_count
             << ", \"cohorts_interseq\": " << r.dispatch.cohorts_interseq
-            << ", \"cohorts_compacted\": " << r.dispatch.cohorts_compacted
+            << ", \"cohorts_streamed\": " << r.dispatch.cohorts_streamed
             << ", \"cohorts_striped\": " << r.dispatch.cohorts_striped
             << ", \"repacks\": " << r.dispatch.repacks
             << ", \"escalations16\": "
             << r.dispatch.escalations16 + r.funnel_dispatch.escalations16
             << ", \"subjects_interseq\": " << r.dispatch.subjects_interseq
-            << ", \"subjects_compacted\": " << r.dispatch.subjects_compacted
             << ", \"subjects_striped\": " << r.dispatch.subjects_striped
             << ", \"funnel_repacks\": " << r.funnel_dispatch.repacks
             << ", \"funnel_escalations16\": "
@@ -471,8 +468,6 @@ int main(int argc, char** argv) {
             << r.funnel_dispatch.cohorts_interseq
             << ", \"funnel_subjects_interseq\": "
             << r.funnel_dispatch.subjects_interseq
-            << ", \"funnel_subjects_compacted\": "
-            << r.funnel_dispatch.subjects_compacted
             << ", \"funnel_subjects_striped\": "
             << r.funnel_dispatch.subjects_striped
             << "}" << (i + 1 < rows.size() ? "," : "") << "\n";

@@ -45,11 +45,15 @@ DatabaseScanner::DatabaseScanner(const StripedAligner& aligner,
     // kernel's query tiling keeps its DP rows cache-resident, so no
     // query length forces the striped fallback by itself.
     const std::size_t qlen = aligner.interseq()->query_len;
+    const auto w = static_cast<std::uint32_t>(cohorts_.lanes);
+    best_entries_ = w;
     choice_.resize(cohorts_.count, CohortPath::kStriped);
     if (qlen > 0) {
         const std::uint64_t bar = min_fill_pct(qlen);
         for (std::size_t c = 0; c < cohorts_.count; ++c) {
             const CohortDesc& d = cohorts_.cohorts[c];
+            best_entries_ = std::max<std::size_t>(
+                best_entries_, w + subject_count(d) - d.lanes_used);
             const std::uint64_t cells =
                 std::uint64_t{d.columns} *
                 static_cast<std::uint64_t>(cohorts_.lanes);
@@ -77,7 +81,7 @@ DatabaseScanner::DatabaseScanner(const StripedAligner& aligner,
     const auto dist = [&](std::uint32_t c) {
         const CohortDesc& d = cohorts_.cohorts[c];
         const auto mean = static_cast<std::int64_t>(
-            d.residues / std::max<std::uint32_t>(1, d.lanes_used));
+            d.residues / std::max<std::uint32_t>(1, subject_count(d)));
         return std::llabs(mean - want_len);
     };
     std::partial_sort(ranked.begin(), ranked.begin() + kPrimeCohorts,
@@ -122,9 +126,9 @@ void DatabaseScanner::credit_dispatch(const WorkerTallies& t) {
         cohorts_interseq_.fetch_add(t.cohorts_interseq,
                                     std::memory_order_relaxed);
     }
-    if (t.cohorts_compacted > 0) {
-        cohorts_compacted_.fetch_add(t.cohorts_compacted,
-                                     std::memory_order_relaxed);
+    if (t.cohorts_streamed > 0) {
+        cohorts_streamed_.fetch_add(t.cohorts_streamed,
+                                    std::memory_order_relaxed);
     }
     if (t.cohorts_striped > 0) {
         cohorts_striped_.fetch_add(t.cohorts_striped,
@@ -140,10 +144,6 @@ void DatabaseScanner::credit_dispatch(const WorkerTallies& t) {
         subjects_interseq_.fetch_add(t.subjects_interseq,
                                      std::memory_order_relaxed);
     }
-    if (t.subjects_compacted > 0) {
-        subjects_compacted_.fetch_add(t.subjects_compacted,
-                                      std::memory_order_relaxed);
-    }
     if (t.subjects_striped > 0) {
         subjects_striped_.fetch_add(t.subjects_striped,
                                     std::memory_order_relaxed);
@@ -153,12 +153,11 @@ void DatabaseScanner::credit_dispatch(const WorkerTallies& t) {
 DatabaseScanner::DispatchStats DatabaseScanner::dispatch_stats() const {
     return DispatchStats{
         cohorts_interseq_.load(std::memory_order_relaxed),
-        cohorts_compacted_.load(std::memory_order_relaxed),
+        cohorts_streamed_.load(std::memory_order_relaxed),
         cohorts_striped_.load(std::memory_order_relaxed),
         repacks_.load(std::memory_order_relaxed),
         escalations16_.load(std::memory_order_relaxed),
         subjects_interseq_.load(std::memory_order_relaxed),
-        subjects_compacted_.load(std::memory_order_relaxed),
         subjects_striped_.load(std::memory_order_relaxed)};
 }
 

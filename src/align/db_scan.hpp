@@ -26,17 +26,18 @@
 // When the caller also provides a lane-interleaved cohort layout (see
 // db::PackedDatabase::interleaved and align/interseq.hpp), stage 2
 // dispatches adaptively per cohort: well-filled cohorts are scored W
-// subjects at a time by the inter-sequence u8 kernel — query-tiled with
+// lanes at a time by the inter-sequence u8 kernel — query-tiled with
 // carried column state, so the whole query-length range is eligible —
-// while cohorts below the query-length-dependent fill bar fall back to
-// the striped kernel per subject. The layout itself keeps low-fill
-// stretches rare by re-packing ragged scan-order tails into dense
-// compacted cohorts, and the funnel composes the same way: survivors
-// of mostly-pruned cohorts are re-packed worker-locally into dense
-// scratch cohorts instead of masking dead lanes. Overflowed lanes feed
-// the same deferred escalation everywhere, so the emit contract
-// (exactly one settled score per non-pruned subject, original
-// db_index) is unchanged.
+// while cohorts below the query-length-dependent fill bar (the layout's
+// singleton outliers) fall back to the striped kernel per subject. The
+// layout keeps cohorts full by streaming several subjects back to back
+// through one lane, and the scanner settles, defers and prunes per
+// subject: a pruned lane reports every subject it holds. The funnel
+// composes the same way: survivors of mostly-pruned cohorts are
+// re-packed worker-locally into dense scratch cohorts instead of
+// masking dead lanes. Overflowed subjects feed the same deferred
+// escalation everywhere, so the emit contract (exactly one settled
+// score per non-pruned subject, original db_index) is unchanged.
 //
 // The scanner consumes non-owning views so swh_align stays independent
 // of swh_db (which produces the views, see db::PackedDatabase).
@@ -216,8 +217,7 @@ public:
                    "deferred overflow batch must settle completely");
         SWH_DCHECK(!keep ||
                        t.settled8 + t.settled_wide + deferred_settled ==
-                           t.subjects_interseq + t.subjects_compacted +
-                               t.subjects_striped,
+                           t.subjects_interseq + t.subjects_striped,
                    "emit contract: one settled score per claimed subject");
         aligner_->credit_runs8(t.settled8);
         credit_dispatch(t);
@@ -253,15 +253,14 @@ public:
     /// and resets). Subjects deferred to the wide rescore are counted
     /// under the kernel that deferred them; pruned subjects appear in
     /// neither (see filter_stats). `cohorts_interseq` counts every
-    /// inter-sequence-scored cohort; `cohorts_compacted` (layout-
-    /// compacted membership) is a subset of it. `subjects_compacted`
-    /// separates the ragged-tail story from the striped one: subjects
-    /// scored inter-sequence out of a layout-compacted cohort or a
-    /// worker-side survivor repack, so `subjects_striped` counts only
-    /// genuine striped-head fallbacks.
+    /// inter-sequence-scored cohort, worker-side survivor repacks
+    /// included; `cohorts_streamed` (layout cohorts with several
+    /// subjects in a lane) is a subset of it. `subjects_interseq`
+    /// counts every subject the inter-sequence kernel scored, so
+    /// `subjects_striped` counts only genuine striped fallbacks.
     struct DispatchStats {
         std::uint64_t cohorts_interseq = 0;
-        std::uint64_t cohorts_compacted = 0;
+        std::uint64_t cohorts_streamed = 0;
         std::uint64_t cohorts_striped = 0;
         std::uint64_t repacks = 0;  ///< dense survivor cohorts assembled
         /// Dense i16 escalation cohorts the stage-3 drain assembled
@@ -269,7 +268,6 @@ public:
         /// serial striped rescores with one inter-sequence pass).
         std::uint64_t escalations16 = 0;
         std::uint64_t subjects_interseq = 0;
-        std::uint64_t subjects_compacted = 0;
         std::uint64_t subjects_striped = 0;
     };
     DispatchStats dispatch_stats() const;
@@ -416,12 +414,11 @@ private:
         std::uint64_t settled8 = 0;
         std::uint64_t settled_wide = 0;
         std::uint64_t cohorts_interseq = 0;
-        std::uint64_t cohorts_compacted = 0;
+        std::uint64_t cohorts_streamed = 0;
         std::uint64_t cohorts_striped = 0;
         std::uint64_t repacks = 0;
         std::uint64_t escalations16 = 0;
         std::uint64_t subjects_interseq = 0;
-        std::uint64_t subjects_compacted = 0;
         std::uint64_t subjects_striped = 0;
         std::uint64_t cohorts_filtered = 0;
         std::uint64_t rebounds16 = 0;
@@ -435,15 +432,39 @@ private:
                                           : static_cast<std::uint32_t>(slot);
     }
 
-    /// Original database index of lane l of cohort d: through the
-    /// layout's member table when present (compacted cohorts have
-    /// non-consecutive members), else the consecutive-slot rule.
-    std::uint32_t member_index(const CohortDesc& d, std::uint32_t l) const {
+    /// Subjects of cohort d: its member table entries, or one per used
+    /// lane when the view has no member table.
+    std::uint32_t subject_count(const CohortDesc& d) const {
+        return cohorts_.members != nullptr ? d.subjects : d.lanes_used;
+    }
+
+    /// Lane of member k of cohort d (heads come first, member l = lane
+    /// l, so without a member table member k is lane k).
+    std::uint32_t member_lane(const CohortDesc& d, std::uint32_t k) const {
+        return cohorts_.members != nullptr
+                   ? cohorts_.members[d.first_member + k].lane
+                   : k;
+    }
+
+    /// Original database index of member k of cohort d: through the
+    /// layout's member table when present, else the consecutive-slot
+    /// rule.
+    std::uint32_t member_index(const CohortDesc& d, std::uint32_t k) const {
         const std::size_t slot =
-            cohorts_.slots != nullptr
-                ? cohorts_.slots[d.first_slot + l]
-                : d.first_slot + static_cast<std::size_t>(l);
+            cohorts_.members != nullptr
+                ? cohorts_.members[d.first_member + k].slot
+                : d.first_member + static_cast<std::size_t>(k);
         return slot_index(slot);
+    }
+
+    /// sw_interseq_u8's result entry of member k: the lane heads hold
+    /// entries [0, lanes_used) of [0, W), the followers follow at W in
+    /// the member table's own (column, lane) order.
+    std::uint32_t best_entry(const CohortDesc& d, std::uint32_t k) const {
+        return k < d.lanes_used
+                   ? k
+                   : k + static_cast<std::uint32_t>(cohorts_.lanes) -
+                         d.lanes_used;
     }
 
     /// Legacy claim unit: chunks of scan-order subjects, striped u8.
@@ -478,9 +499,9 @@ private:
     SWH_HOT_PATH bool rebound_pays(const CohortDesc& d,
                                    std::uint64_t sat_used) const {
         std::uint64_t sat_len = 0;
-        for (std::uint32_t l = 0; l < d.lanes_used; ++l) {
-            if ((sat_used >> l) & 1) {
-                sat_len += subjects_.lengths[member_index(d, l)];
+        for (std::uint32_t k = 0; k < subject_count(d); ++k) {
+            if ((sat_used >> member_lane(d, k)) & 1) {
+                sat_len += subjects_.lengths[member_index(d, k)];
             }
         }
         return 2 * sat_len >=
@@ -603,7 +624,9 @@ private:
         const std::size_t n = cohorts_.count;
         const auto w = static_cast<std::size_t>(cohorts_.lanes);
         const std::size_t claim = std::max<std::size_t>(1, chunk_ / w);
-        std::uint8_t lane_best[64];
+        // Per-subject results, sized once for the largest cohort.
+        std::uint8_t* const best = scratch.subject_best(best_entries_);
+        const Score bias = aligner_->interseq()->bias;
         Score bound[64];
         // Survivor batch for the repack path; both vectors stay empty
         // (no allocation) until the prefilter actually starves a
@@ -643,10 +666,11 @@ private:
                                             scratch, bound, t);
                     const double ns = SweepModel::ns_since(t0);
                     std::uint64_t pruned_residues = 0;
-                    for (std::uint32_t l = 0; l < d.lanes_used && keep;
-                         ++l) {
-                        if ((survive >> l) & 1) continue;
-                        const std::uint32_t idx = member_index(d, l);
+                    // A pruned lane's bound covers every subject in it.
+                    for (std::uint32_t k = 0; k < subject_count(d) && keep;
+                         ++k) {
+                        if ((survive >> member_lane(d, k)) & 1) continue;
+                        const std::uint32_t idx = member_index(d, k);
                         ++t.pruned;
                         pruned_residues += subjects_.lengths[idx];
                         keep = pruned(idx, subjects_.lengths[idx]);
@@ -680,54 +704,52 @@ private:
                 }
                 const auto nsurv = static_cast<std::uint32_t>(
                     std::popcount(survive));
-                const bool compacted =
-                    (d.flags & CohortDesc::kCompacted) != 0;
                 if (path != CohortPath::kStriped &&
                     nsurv * kFunnelStripedCutover > d.lanes_used) {
                     ++t.cohorts_interseq;
-                    if (compacted) ++t.cohorts_compacted;
+                    if (d.starts > 0) ++t.cohorts_streamed;
                     const auto t0 = SweepModel::Clock::now();
-                    const std::uint64_t ovf = sw_interseq_u8(
-                        *aligner_->interseq(), cohorts_.arena + d.offset,
-                        d.columns, aligner_->gap(), aligner_->isa(), scratch,
-                        lane_best);
+                    sw_interseq_u8(*aligner_->interseq(),
+                                   cohorts_.arena + d.offset, d.columns,
+                                   aligner_->gap(), aligner_->isa(), scratch,
+                                   best, cohorts_.starts_of(d));
                     model.exact(path, SweepModel::ns_since(t0), cells);
-                    std::uint64_t& subj = compacted ? t.subjects_compacted
-                                                    : t.subjects_interseq;
-                    for (std::uint32_t l = 0; l < d.lanes_used && keep; ++l) {
-                        if (((survive >> l) & 1) == 0) continue;
-                        const std::uint32_t idx = member_index(d, l);
-                        ++subj;
-                        if ((ovf >> l) & 1) {
+                    for (std::uint32_t k = 0; k < subject_count(d) && keep;
+                         ++k) {
+                        if (((survive >> member_lane(d, k)) & 1) == 0) continue;
+                        const std::uint32_t idx = member_index(d, k);
+                        const Score score = best[best_entry(d, k)];
+                        ++t.subjects_interseq;
+                        if (score + bias >= 255) {
                             // NOLINTNEXTLINE(swh-no-alloc-in-hot-path):
                             // deferred batch, bounded by the claim size.
                             overflow.push_back(idx);
                             continue;
                         }
                         ++t.settled8;
-                        keep = emit(idx, subjects_.lengths[idx],
-                                    static_cast<Score>(lane_best[l]));
+                        keep = emit(idx, subjects_.lengths[idx], score);
                     }
                 } else if (path != CohortPath::kStriped) {
                     // Below the survivor cutover: running the
                     // full-width kernel would waste most of its fixed
                     // cost on pruned lanes. Batch the survivors; they
                     // are re-packed into dense cohorts at claim end.
-                    for (std::uint32_t l = 0; l < d.lanes_used; ++l) {
-                        if ((survive >> l) & 1) {
+                    for (std::uint32_t k = 0; k < subject_count(d); ++k) {
+                        if ((survive >> member_lane(d, k)) & 1) {
                             // NOLINTNEXTLINE(swh-no-alloc-in-hot-path):
                             // survivor batch; capacity is retained
                             // across flushes, growth amortizes out.
-                            pending.push_back(member_index(d, l));
+                            pending.push_back(member_index(d, k));
                         }
                     }
                 } else {
                     ++t.cohorts_striped;
                     const auto t0 = SweepModel::Clock::now();
                     std::uint64_t residues = 0;
-                    for (std::uint32_t l = 0; l < d.lanes_used && keep; ++l) {
-                        if (((survive >> l) & 1) == 0) continue;
-                        const std::uint32_t idx = member_index(d, l);
+                    for (std::uint32_t k = 0; k < subject_count(d) && keep;
+                         ++k) {
+                        if (((survive >> member_lane(d, k)) & 1) == 0) continue;
+                        const std::uint32_t idx = member_index(d, k);
                         residues += subjects_.lengths[idx];
                         keep = score_striped(idx, scratch, emit, overflow, t);
                     }
@@ -769,7 +791,8 @@ private:
     /// (column-major, pad sentinel, exactly the layout geometry) and
     /// scores them with the inter-sequence u8 kernel. Pending
     /// survivors are first sorted length-descending and split at
-    /// length cliffs with the layout compaction's greedy fill rule —
+    /// length cliffs with a greedy rule (a group grows while it keeps
+    /// kInterseqMinFillPct of its used lanes filled) —
     /// claims arrive primed-first, so a straggler long survivor must
     /// never force thousands of pad columns onto a batch of short
     /// ones. Without `force`, only full-width batches run (a blocked
@@ -859,7 +882,6 @@ private:
         }
         ++t.repacks;
         ++t.cohorts_interseq;
-        ++t.cohorts_compacted;
         std::uint8_t lane_best[64];
         const std::uint64_t ovf = sw_interseq_u8(
             *aligner_->interseq(), repack.data(), columns, aligner_->gap(),
@@ -867,7 +889,7 @@ private:
         bool keep = true;
         for (std::size_t i = 0; i < count && keep; ++i) {
             const std::uint32_t idx = batch[i];
-            ++t.subjects_compacted;
+            ++t.subjects_interseq;
             if ((ovf >> i) & 1) {
                 // NOLINTNEXTLINE(swh-no-alloc-in-hot-path): deferred
                 // batch, bounded by the repack width.
@@ -1019,6 +1041,9 @@ private:
     /// Per-cohort exact-stage route, precomputed at construction from
     /// cohort fill against the query-length-dependent bar.
     std::vector<CohortPath> choice_;
+    /// sw_interseq_u8 result entries of the layout's largest cohort: the
+    /// per-worker subject_best size (W plus its followers).
+    std::size_t best_entries_ = 0;
     /// Claim-slot -> cohort-index permutation, built only when the
     /// prefilter is armed: the kPrimeCohorts cohorts whose mean subject
     /// length is closest to the query's come first (threshold priming),
@@ -1029,11 +1054,10 @@ private:
     /// untouched).
     std::vector<std::uint32_t> prime_order_;
     std::atomic<std::size_t> next_{0};
-    std::atomic<std::uint64_t> cohorts_interseq_{0}, cohorts_compacted_{0};
+    std::atomic<std::uint64_t> cohorts_interseq_{0}, cohorts_streamed_{0};
     std::atomic<std::uint64_t> cohorts_striped_{0};
     std::atomic<std::uint64_t> repacks_{0}, escalations16_{0};
-    std::atomic<std::uint64_t> subjects_interseq_{0}, subjects_compacted_{0};
-    std::atomic<std::uint64_t> subjects_striped_{0};
+    std::atomic<std::uint64_t> subjects_interseq_{0}, subjects_striped_{0};
     std::atomic<std::uint64_t> cohorts_filtered_{0}, rebounds16_{0};
     std::atomic<std::uint64_t> subjects_pruned_{0}, filter_offs_{0};
     std::atomic<std::uint64_t> lanes_filtered_{0};

@@ -47,25 +47,26 @@ InterseqProfile build_interseq_profile(std::span<const Code> query,
 std::uint64_t sw_interseq_u8(const InterseqProfile& profile, const Code* cols,
                              std::size_t columns, GapPenalty gap,
                              simd::IsaLevel isa, ScanScratch& scratch,
-                             std::uint8_t* lane_best) {
+                             std::uint8_t* best,
+                             std::span<const SubjectStart> starts) {
     switch (isa) {
         case simd::IsaLevel::Scalar:
             return detail::interseq_tiles_u8<simd::U8x16s>(
-                profile, cols, columns, gap, scratch, lane_best);
+                profile, cols, columns, gap, scratch, best, starts);
 #if defined(__SSE2__)
         case simd::IsaLevel::SSE2:
             return detail::interseq_tiles_u8<simd::U8x16>(
-                profile, cols, columns, gap, scratch, lane_best);
+                profile, cols, columns, gap, scratch, best, starts);
 #endif
 #if defined(__AVX2__)
         case simd::IsaLevel::AVX2:
             return detail::interseq_tiles_u8<simd::U8x32>(
-                profile, cols, columns, gap, scratch, lane_best);
+                profile, cols, columns, gap, scratch, best, starts);
 #endif
 #if defined(__AVX512BW__)
         case simd::IsaLevel::AVX512:
             return detail::interseq_tiles_u8<simd::U8x64>(
-                profile, cols, columns, gap, scratch, lane_best);
+                profile, cols, columns, gap, scratch, best, starts);
 #endif
         default:
             break;

@@ -1,7 +1,9 @@
 #pragma once
 
 // Templated bodies of the inter-sequence Smith-Waterman kernels: one
-// subject per SIMD lane, DP state arrays indexed by query position.
+// subject per SIMD lane at a time (the u8 kernel streams several
+// through a lane, see interseq_tiles_u8), DP state arrays indexed by
+// query position.
 // Instantiated per SIMD backend in interseq.cpp; exposed in a header so
 // tests can pin a specific backend.
 //
@@ -19,9 +21,11 @@
 // state the row loop hands from row r-1 to row r: H(r-1, j) (the
 // carried bottom row, which is row r's diagonal for column j+1 and its
 // vertical neighbour for column j) and the running F entering row r.
-// Both live in ScanScratch::column_carry(). E does not cross tiles —
-// it is per-row state, fully contained in a tile's own row array — so
-// only the tile's DP rows compete for cache, however long the query.
+// Both live in ScanScratch::column_carry(); the u8 kernel writes them
+// only on tiles that have a next one, so a one-tile query needs no
+// carry. E does not cross tiles — it is per-row state, fully contained
+// in a tile's own row array — so only the tile's DP rows compete for
+// cache, however long the query.
 //
 // Arithmetic is cell-for-cell identical to the striped kernels (same
 // saturating ops in the same order), so per-lane scores and overflow
@@ -29,7 +33,9 @@
 // subject — the property the golden-equivalence suite pins down.
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
+#include <span>
 
 #include "align/interseq.hpp"
 #include "align/striped.hpp"
@@ -39,17 +45,29 @@
 namespace swh::align::detail {
 
 /// 8-bit inter-sequence kernel. V must model the u8 vector interface of
-/// simd/vec_scalar.hpp including lookup32/widen. Returns the overflow
-/// lane mask; lane_best[0..V::kLanes) receives per-lane maxima.
+/// simd/vec_scalar.hpp including lookup32/widen/zero_lanes. Returns the
+/// overflow lane mask; `best` receives per-subject maxima in the order
+/// sw_interseq_u8 documents (per-lane maxima when `starts` is empty).
+///
+/// Lane refill at a subject-start column c: the ending lanes' running
+/// max is merged into their subject's entry and cleared, and their
+/// previous-column H and E (the h/e row arrays, plus the carried
+/// diagonal on tiles after the first) are cleared before the column
+/// runs — exactly the zero boundary a fresh call gives column 0. The
+/// carried F and bottom-row H of column c itself already belong to the
+/// new subject. A query of several tiles visits every start once per
+/// tile, so each subject's entry max-merges its per-tile maxima.
 template <class V>
-SWH_HOT_PATH std::uint64_t interseq_tiles_u8(const InterseqProfile& p,
-                                             const Code* cols,
-                                             std::size_t columns,
-                                             GapPenalty gap,
-                                             ScanScratch& scratch,
-                                             std::uint8_t* lane_best) {
+SWH_HOT_PATH std::uint64_t interseq_tiles_u8(
+    const InterseqProfile& p, const Code* cols, std::size_t columns,
+    GapPenalty gap, ScanScratch& scratch, std::uint8_t* best,
+    std::span<const SubjectStart> starts) {
     constexpr int W = V::kLanes;
-    std::memset(lane_best, 0, W);
+    std::size_t subjects = W;
+    for (const SubjectStart& s : starts) {
+        subjects += static_cast<std::size_t>(std::popcount(s.lanes));
+    }
+    std::memset(best, 0, subjects);
     const std::size_t m = p.query_len;
     if (m == 0 || columns == 0) return 0;
 
@@ -67,11 +85,15 @@ SWH_HOT_PATH std::uint64_t interseq_tiles_u8(const InterseqProfile& p,
     const ScanScratch::KernelBuffers bufs = scratch.kernel_buffers(bytes);
     V* __restrict h = static_cast<V*>(bufs.h_load);
     V* __restrict e = static_cast<V*>(bufs.e);
+    // Only a multi-tile query hands column state to a next tile.
     const ScanScratch::ColumnCarry carry =
-        scratch.column_carry(columns * sizeof(V));
+        tiles > 1 ? scratch.column_carry(columns * sizeof(V))
+                  : ScanScratch::ColumnCarry{nullptr, nullptr};
     V* __restrict crow = static_cast<V*>(carry.h);
     V* __restrict cf = static_cast<V*>(carry.f);
     V vMax = V::zero();
+    alignas(64) std::uint8_t lane_max[W] = {};
+    std::uint32_t entry[W] = {};  // best[] index of each lane's subject
 
     for (std::size_t r0 = 0; r0 < m; r0 += rows) {
         const std::size_t tm = std::min(rows, m - r0);
@@ -79,6 +101,10 @@ SWH_HOT_PATH std::uint64_t interseq_tiles_u8(const InterseqProfile& p,
         std::memset(h, 0, tbytes);
         std::memset(e, 0, tbytes);
         const bool first = r0 == 0;
+        const bool last = r0 + tm == m;
+        for (int l = 0; l < W; ++l) entry[l] = static_cast<std::uint32_t>(l);
+        auto next_entry = static_cast<std::uint32_t>(W);
+        std::size_t s = 0;
         // H(r0-1, j-1): the diagonal feeding the tile's top row. Starts
         // at the 0 boundary column and then trails crow by one column.
         V carryDiag = V::zero();
@@ -87,6 +113,22 @@ SWH_HOT_PATH std::uint64_t interseq_tiles_u8(const InterseqProfile& p,
             V vF = first ? V::zero() : cf[j];
             V vDiag = carryDiag;
             carryDiag = first ? V::zero() : crow[j];
+            if (s < starts.size() && starts[s].column == j) {
+                const std::uint64_t fresh = starts[s++].lanes;
+                vMax.store(lane_max);
+                for (std::uint64_t b = fresh; b != 0; b &= b - 1) {
+                    const int l = std::countr_zero(b);
+                    std::uint8_t& out = best[entry[l]];
+                    out = std::max(out, lane_max[l]);
+                    entry[l] = next_entry++;
+                }
+                vMax = zero_lanes(vMax, fresh);
+                vDiag = zero_lanes(vDiag, fresh);
+                for (std::size_t i = 0; i < tm; ++i) {
+                    h[i] = zero_lanes(h[i], fresh);
+                    e[i] = zero_lanes(e[i], fresh);
+                }
+            }
             for (std::size_t i = 0; i < tm; ++i) {
                 V vH = subs(adds(vDiag, lookup32(p.row(r0 + i), dbv)), vBias);
                 vDiag = h[i];
@@ -98,16 +140,35 @@ SWH_HOT_PATH std::uint64_t interseq_tiles_u8(const InterseqProfile& p,
                 e[i] = vmax(subs(e[i], vGapE), vHgap);
                 vF = vmax(subs(vF, vGapE), vHgap);
             }
-            crow[j] = h[tm - 1];
-            cf[j] = vF;
+            if (!last) {
+                crow[j] = h[tm - 1];
+                cf[j] = vF;
+            }
+        }
+        if (!starts.empty()) {
+            // Streamed: each lane's last subject takes this tile's max.
+            vMax.store(lane_max);
+            for (int l = 0; l < W; ++l) {
+                best[entry[l]] = std::max(best[entry[l]], lane_max[l]);
+            }
+            vMax = V::zero();
         }
     }
 
-    vMax.store(lane_best);
+    if (starts.empty()) vMax.store(best);
+    const auto saturated = [&p](std::uint8_t score) {
+        return static_cast<Score>(score) + p.bias >= 255;
+    };
     std::uint64_t overflow = 0;
     for (int l = 0; l < W; ++l) {
-        if (static_cast<Score>(lane_best[l]) + p.bias >= 255) {
-            overflow |= std::uint64_t{1} << l;
+        if (saturated(best[l])) overflow |= std::uint64_t{1} << l;
+    }
+    std::size_t r = W;
+    for (const SubjectStart& st : starts) {
+        for (std::uint64_t b = st.lanes; b != 0; b &= b - 1, ++r) {
+            if (saturated(best[r])) {
+                overflow |= std::uint64_t{1} << std::countr_zero(b);
+            }
         }
     }
     return overflow;

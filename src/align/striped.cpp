@@ -121,6 +121,11 @@ ScanScratch::ColumnCarry ScanScratch::column_carry(
     return {base, base + stride};
 }
 
+std::uint8_t* ScanScratch::subject_best(std::size_t entries) {
+    ensure(best_, best_cap_, entries);
+    return reinterpret_cast<std::uint8_t*>(best_.get());
+}
+
 Profile8 build_profile8(std::span<const Code> query, const ScoreMatrix& matrix,
                         int lanes) {
     const Score bias = matrix.bias();

@@ -55,6 +55,12 @@ public:
     };
     ColumnCarry column_carry(std::size_t bytes_per_array);
 
+    /// Per-subject u8 results of one inter-sequence cohort, `entries`
+    /// long (W plus the cohort's followers, see sw_interseq_u8). Its own
+    /// allocation: a scanner sizes it once per worker for the layout's
+    /// largest cohort, so no kernel call ever moves it.
+    std::uint8_t* subject_best(std::size_t entries);
+
 private:
     struct Free {
         void operator()(std::byte* p) const;
@@ -66,6 +72,8 @@ private:
     std::size_t cap_ = 0;
     Buffer carry_;
     std::size_t carry_cap_ = 0;
+    Buffer best_;
+    std::size_t best_cap_ = 0;
 };
 
 /// Striped query profile (Farrar 2007). For a query of length m split

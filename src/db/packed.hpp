@@ -21,27 +21,33 @@ namespace swh::db {
 
 /// Lane-interleaved cohort layout of a packed database at one SIMD
 /// width W: scan-order subjects are grouped into cohorts and each
-/// cohort's residues are stored column-major — column j holds residue
-/// j of every member, short lanes padded with the inter-sequence
-/// padding sentinel. This is the input geometry of
-/// align::sw_interseq_u8/i16. Built lazily by
-/// PackedDatabase::interleaved().
+/// cohort's residues are stored column-major — column j holds column j
+/// of every lane, lanes padded with the inter-sequence padding
+/// sentinel. This is the input geometry of align::sw_interseq_u8/i16.
+/// Built lazily by PackedDatabase::interleaved().
 ///
-/// Grouping: W consecutive scan-order slots form a natural cohort when
-/// the full-width fill meets kCohortFillPct (the longest-first scan
-/// order makes such members near-equal length). The leftovers — the
-/// divergent long-subject head groups and the partial tail — are
-/// re-packed by length adjacency into dense compacted cohorts
-/// (CohortDesc::kCompacted, possibly fewer than W members, down to a
-/// 1-subject tail), so low-fill stretches stop forcing full-width pad
-/// columns. Cohort membership is carried by a slots table: lane l of
-/// cohort d is scan slot slots()[d.first_slot + l].
+/// Packing (lane streaming, first-fit decreasing over the longest-first
+/// scan order): a cohort's column count is the longest remaining
+/// subject; its W lanes take the next W subjects as heads, and each
+/// lane's leftover room is then filled, largest room first, with the
+/// longest remaining subjects that fit, back to back. Where lengths are
+/// dense nothing fits a lane's leftover room, so those cohorts are
+/// exactly W consecutive scan slots, one subject per lane. Outlier
+/// guard: while more than W subjects remain, a cohort is only opened
+/// when the remaining residues could fill kCohortFillPct of its
+/// W x columns cells, and it must end at that fill; otherwise its
+/// longest subject becomes a singleton cohort (the scanner's striped
+/// route). The last W or fewer subjects form one cohort, one per lane.
+/// The member table records each subject's scan slot, lane and start
+/// column; the starts table each cohort's subject-start columns with
+/// their lane masks.
 class InterleavedChunks {
 public:
-    /// Minimum used-lane residue fill (percent) for keeping a natural
-    /// full-width group, and for extending a compacted group by one
-    /// more (shorter) member. Mirrors the historical dispatch bar so a
-    /// kept natural cohort is never worse-filled than before.
+    /// Minimum residue fill (percent of W x columns) of every cohort
+    /// but the singletons and the final one, and of the remaining
+    /// residues before such a cohort is opened. Mirrors the long-query
+    /// dispatch bar (DatabaseScanner::kInterseqMinFillPct), so every
+    /// streamed cohort takes the inter-sequence route.
     static constexpr std::uint64_t kCohortFillPct = 75;
 
     int lanes() const { return lanes_; }
@@ -49,10 +55,10 @@ public:
     const align::CohortDesc& cohort(std::size_t c) const {
         return cohorts_[c];
     }
-    /// Cohort-member table (cohort-major scan slots, see CohortDesc).
-    std::span<const std::uint32_t> slots() const { return slots_; }
-    /// Cohorts assembled by the compacted-tail build.
-    std::size_t compacted_cohorts() const { return compacted_; }
+    /// Cohort-major member table (see align::InterleavedCohorts).
+    std::span<const align::CohortMember> members() const { return members_; }
+    /// Subject-start columns of the streamed cohorts, cohort-major.
+    std::span<const align::SubjectStart> starts() const { return starts_; }
 
     /// Non-owning view for align::DatabaseScanner; valid while this
     /// object (i.e. the owning PackedDatabase) is alive.
@@ -67,8 +73,8 @@ private:
 
     std::unique_ptr<align::Code[], ArenaFree> arena_;
     std::vector<align::CohortDesc> cohorts_;
-    std::vector<std::uint32_t> slots_;
-    std::size_t compacted_ = 0;
+    std::vector<align::CohortMember> members_;
+    std::vector<align::SubjectStart> starts_;
     int lanes_ = 0;
 };
 

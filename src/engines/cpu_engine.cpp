@@ -173,18 +173,15 @@ core::TaskResult CpuEngine::execute(const align::Sequence& query,
             scanner.dispatch_stats();
         config_.metrics->counter("engine.cpu.subjects_interseq")
             .add(ds.subjects_interseq);
-        config_.metrics->counter("engine.cpu.subjects_compacted")
-            .add(ds.subjects_compacted);
         config_.metrics->counter("engine.cpu.subjects_striped")
             .add(ds.subjects_striped);
         // Route breakdown: why each cohort took the path it did —
-        // interseq, compacted (ragged membership, layout- or funnel-
-        // repacked; a subset of cohorts_interseq), striped-head (fill
-        // below the dispatch bar).
+        // interseq, streamed (several subjects in a lane; a subset of
+        // cohorts_interseq), striped-head (fill below the dispatch bar).
         config_.metrics->counter("scan.dispatch.cohorts_interseq")
             .add(ds.cohorts_interseq);
-        config_.metrics->counter("scan.dispatch.cohorts_compacted")
-            .add(ds.cohorts_compacted);
+        config_.metrics->counter("scan.dispatch.cohorts_streamed")
+            .add(ds.cohorts_streamed);
         config_.metrics->counter("scan.dispatch.cohorts_striped_head")
             .add(ds.cohorts_striped);
         config_.metrics->counter("scan.dispatch.repacks").add(ds.repacks);

@@ -67,6 +67,22 @@ struct U8x32 {
             static_cast<unsigned>(_mm256_movemask_epi8(eq)));
     }
 
+    friend U8x32 zero_lanes(U8x32 a, std::uint64_t lanes) {
+        // Byte l of `spread` holds mask byte l/8; testing it against
+        // bit l%8 turns the mask into a byte-per-lane select.
+        constexpr std::uint64_t kOnes = 0x0101010101010101ULL;
+        const __m256i spread = _mm256_setr_epi64x(
+            static_cast<long long>(kOnes * (lanes & 0xFF)),
+            static_cast<long long>(kOnes * ((lanes >> 8) & 0xFF)),
+            static_cast<long long>(kOnes * ((lanes >> 16) & 0xFF)),
+            static_cast<long long>(kOnes * ((lanes >> 24) & 0xFF)));
+        const __m256i bit = _mm256_set1_epi64x(
+            static_cast<long long>(0x8040201008040201ULL));
+        const __m256i hit =
+            _mm256_cmpeq_epi8(_mm256_and_si256(spread, bit), bit);
+        return {_mm256_andnot_si256(hit, a.v)};
+    }
+
     std::uint8_t hmax() const {
         const __m128i lo = _mm256_castsi256_si128(v);
         const __m128i hi = _mm256_extracti128_si256(v, 1);

@@ -64,6 +64,10 @@ struct U8x64 {
         return _mm512_cmpge_epu8_mask(a.v, b.v);
     }
 
+    friend U8x64 zero_lanes(U8x64 a, std::uint64_t lanes) {
+        return {_mm512_maskz_mov_epi8(~lanes, a.v)};
+    }
+
     std::uint8_t hmax() const {
         const __m256i lo = _mm512_castsi512_si256(v);
         const __m256i hi = _mm512_extracti64x4_epi64(v, 1);

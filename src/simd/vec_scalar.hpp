@@ -31,6 +31,8 @@ namespace swh::simd {
 //   ge_mask(a,b) -- bit l set iff a >= b (unsigned) in lane l; the
 //                   horizontal compare the scan prefilter uses to turn
 //                   per-lane score bounds into a survivor mask
+//   zero_lanes(a,m) -- a with every lane l whose bit is set in m cleared
+//                   to 0; the inter-sequence kernel's lane refill
 
 template <int N>
 struct U8xN {
@@ -99,6 +101,13 @@ struct U8xN {
             if (a.lane[i] >= b.lane[i]) m |= std::uint64_t{1} << i;
         }
         return m;
+    }
+
+    friend U8xN zero_lanes(U8xN a, std::uint64_t lanes) {
+        for (int i = 0; i < N; ++i) {
+            if ((lanes >> i) & 1) a.lane[i] = 0;
+        }
+        return a;
     }
 
     std::uint8_t hmax() const {

@@ -53,6 +53,19 @@ struct U8x16 {
             static_cast<unsigned>(_mm_movemask_epi8(eq)));
     }
 
+    friend U8x16 zero_lanes(U8x16 a, std::uint64_t lanes) {
+        // Byte l of `spread` holds mask byte l/8; testing it against
+        // bit l%8 turns the mask into a byte-per-lane select.
+        constexpr std::uint64_t kOnes = 0x0101010101010101ULL;
+        const __m128i spread = _mm_set_epi64x(
+            static_cast<long long>(kOnes * ((lanes >> 8) & 0xFF)),
+            static_cast<long long>(kOnes * (lanes & 0xFF)));
+        const __m128i bit = _mm_set1_epi64x(
+            static_cast<long long>(0x8040201008040201ULL));
+        const __m128i hit = _mm_cmpeq_epi8(_mm_and_si128(spread, bit), bit);
+        return {_mm_andnot_si128(hit, a.v)};
+    }
+
     std::uint8_t hmax() const {
         __m128i m = _mm_max_epu8(v, _mm_srli_si128(v, 8));
         m = _mm_max_epu8(m, _mm_srli_si128(m, 4));

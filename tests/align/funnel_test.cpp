@@ -3,7 +3,8 @@
 // must be BIT-identical for every ISA level this host supports, every
 // k, and the adversarial shapes that stress the threshold policy —
 // all-identical scores, ties exactly at the threshold, empty and tiny
-// databases, k larger than the database — plus a concurrency test with
+// databases, k larger than the database, a long-tailed database whose
+// layout streams several subjects per lane — plus a concurrency test with
 // cohort-mode claiming and a shared rising threshold, and the sweep cost
 // model's two regimes (sweeps that cannot pay stop, sweeps that prune
 // keep running) at one and four workers.
@@ -171,7 +172,7 @@ TEST(DatabaseScannerFunnel, TopKBitIdenticalAcrossIsaLevelsAndK) {
 TEST(DatabaseScannerFunnel, LongQueryTiledRepackBitIdentical) {
     // A multi-tile query (4+ tiles of kInterseqTileRows) drives the
     // inter-sequence kernels' query tiling, and the armed prefilter's
-    // surviving lanes go through the compaction re-pack instead of the
+    // surviving lanes go through the survivor re-pack instead of the
     // striped fallback. Both paths must keep the funnel's bit-identity
     // promise — and must actually be exercised, not silently skipped.
     const std::size_t qlen = 4 * kInterseqTileRows + 53;
@@ -199,7 +200,6 @@ TEST(DatabaseScannerFunnel, LongQueryTiledRepackBitIdentical) {
             // Every subject settles on exactly one of the three paths
             // or is pruned — no double counting, no loss.
             EXPECT_EQ(run.dispatch.subjects_interseq +
-                          run.dispatch.subjects_compacted +
                           run.dispatch.subjects_striped +
                           run.filter.subjects_pruned,
                       sample.database.size());
@@ -353,6 +353,73 @@ TEST(DatabaseScannerFunnel, ConcurrentWorkersBitIdentical) {
         EXPECT_EQ(run.emitted + run.pruned_calls, sample.database.size());
         expect_same_hits(run.hits, want, "round " + std::to_string(round));
     }
+}
+
+TEST(DatabaseScannerFunnel, LongTailedStreamedLayoutBitIdentical) {
+    // Rat-shaped lengths (long tail to a few thousand residues): the
+    // layout streams the short subjects back to back through the long
+    // cohorts' lanes, so the funnel prunes, settles and defers per
+    // subject inside multi-subject lanes. Copies of the query planted
+    // among them saturate u8 and feed the threshold. The top-k must
+    // match the striped scan — no cohorts at all — at one and four
+    // workers on every ISA.
+    db::DatabaseSpec spec = db::preset_by_name("Ensembl Rat").spec(1.0, 5);
+    spec.name = "rat";
+    spec.num_sequences = 600;
+    auto seqs = db::generate_database(spec);
+    Rng rng(347);
+    const Sequence q = db::random_protein(rng, 110, "q");
+    for (const std::size_t at : {std::size_t{3}, std::size_t{150},
+                                 std::size_t{420}, std::size_t{590}}) {
+        Sequence copy = q;
+        copy.id = "copy" + std::to_string(at);
+        seqs.insert(seqs.begin() + static_cast<std::ptrdiff_t>(at), copy);
+    }
+    const db::Database database("rat", std::move(seqs));
+    const db::PackedDatabase& packed = database.packed();
+
+    std::uint64_t streamed = 0, pruned = 0;
+    for (const simd::IsaLevel isa : supported_levels()) {
+        const StripedAligner aligner(q.residues, blosum(), kGap, isa);
+        ASSERT_FALSE(packed.interleaved(lanes_u8(isa)).starts().empty());
+        for (const std::size_t k : {std::size_t{3}, std::size_t{20}}) {
+            DatabaseScanner striped(aligner, packed.view());
+            engines::TopK oracle(k);
+            ScanScratch scratch;
+            ASSERT_TRUE(striped.run_worker(
+                scratch, [&](std::uint32_t idx, std::uint32_t, Score s) {
+                    oracle.add(idx, s);
+                    return true;
+                }));
+            const std::vector<core::Hit> want = oracle.take();
+            expect_same_hits(exhaustive_topk(aligner, database, k), want,
+                             "exhaustive isa=" +
+                                 std::string(simd::to_string(isa)));
+            for (const int workers : {1, 4}) {
+                const std::string label =
+                    "isa=" + std::string(simd::to_string(isa)) +
+                    " k=" + std::to_string(k) +
+                    " workers=" + std::to_string(workers);
+                const FunnelRun run = funnel_topk(aligner, database, k,
+                                                  workers);
+                expect_same_hits(run.hits, want, label);
+                EXPECT_EQ(run.emitted + run.pruned_calls, database.size())
+                    << label;
+                EXPECT_EQ(run.pruned_calls, run.filter.subjects_pruned)
+                    << label;
+                EXPECT_EQ(run.dispatch.subjects_interseq +
+                              run.dispatch.subjects_striped +
+                              run.filter.subjects_pruned,
+                          database.size())
+                    << label;
+                streamed += run.dispatch.cohorts_streamed;
+                pruned += run.filter.subjects_pruned;
+            }
+        }
+    }
+    // Both the streamed exact path and per-subject pruning ran.
+    EXPECT_GT(streamed, 0u);
+    EXPECT_GT(pruned, 0u);
 }
 
 // The cost model's decisions are timing-driven (measured kernel rates),

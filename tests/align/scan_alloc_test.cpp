@@ -9,11 +9,13 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <string>
 
 #include "align/db_scan.hpp"
 #include "align/striped.hpp"
 #include "db/database.hpp"
 #include "db/packed.hpp"
+#include "db/presets.hpp"
 #include "engines/topk.hpp"
 #include "util/rng.hpp"
 
@@ -77,6 +79,15 @@ db::Database cohort_test_db() {
     spec.length.min_len = 90;
     spec.length.max_len = 130;
     spec.seed = 55;
+    return db::Database::generate(spec);
+}
+
+/// Long-tailed lengths (Table II's Ensembl Rat shape): the layout
+/// streams several subjects through one lane of the long cohorts.
+db::Database streamed_test_db() {
+    db::DatabaseSpec spec = db::preset_by_name("Ensembl Rat").spec(1.0, 56);
+    spec.name = "alloc-streamed";
+    spec.num_sequences = 600;
     return db::Database::generate(spec);
 }
 
@@ -152,45 +163,58 @@ TEST(ScanAllocation, EnginePathIsAllocationFreeAfterWarmup) {
     // The engine's per-subject path — cohort-mode scanner emit into a
     // TopK collector — end to end, including the inter-sequence kernel
     // through a warm scratch: a single-tile query, and a multi-tile one
-    // whose carried column state must live in the warm scratch too.
-    const db::Database database = cohort_test_db();
-    const db::PackedDatabase& packed = database.packed();
-    for (const std::size_t qlen : {std::size_t{150},
-                                   2 * kInterseqTileRows + 1}) {
-        Rng rng(54);
-        const Sequence q = db::random_protein(rng, qlen, "q");
-        const ScoreMatrix matrix = ScoreMatrix::blosum62();
-        const StripedAligner aligner(q.residues, matrix, {10, 2});
+    // whose carried column state must live in the warm scratch too; on
+    // one-subject-per-lane cohorts and on a streamed layout, whose
+    // per-subject results live in the warm scratch as well.
+    for (const bool streamed : {false, true}) {
+        const db::Database database =
+            streamed ? streamed_test_db() : cohort_test_db();
+        const db::PackedDatabase& packed = database.packed();
+        for (const std::size_t qlen : {std::size_t{150},
+                                       2 * kInterseqTileRows + 1}) {
+            Rng rng(54);
+            const Sequence q = db::random_protein(rng, qlen, "q");
+            const ScoreMatrix matrix = ScoreMatrix::blosum62();
+            const StripedAligner aligner(q.residues, matrix, {10, 2});
+            const std::string label =
+                "qlen=" + std::to_string(qlen) + " db=" + database.name();
 
-        DatabaseScanner scanner(
-            aligner, packed.view(), DatabaseScanner::kDefaultChunk,
-            packed.interleaved(lanes_u8(aligner.isa())).view());
-        ASSERT_TRUE(scanner.cohort_mode());
-        ScanScratch scratch;
-        engines::TopK topk(10);
-        // Warm-up scan grows the scratch to the largest cohort.
-        scanner.run_worker(scratch,
-                           [&](std::uint32_t idx, std::uint32_t, Score s) {
-                               topk.add(idx, s);
-                               return true;
-                           });
-        ASSERT_GT(scanner.dispatch_stats().cohorts_interseq, 0u)
-            << "qlen=" << qlen;
+            const db::InterleavedChunks& chunks =
+                packed.interleaved(lanes_u8(aligner.isa()));
+            ASSERT_EQ(chunks.starts().empty(), !streamed) << label;
+            DatabaseScanner scanner(aligner, packed.view(),
+                                    DatabaseScanner::kDefaultChunk,
+                                    chunks.view());
+            ASSERT_TRUE(scanner.cohort_mode());
+            ScanScratch scratch;
+            engines::TopK topk(10);
+            // Warm-up scan grows the scratch to the largest cohort.
+            scanner.run_worker(scratch,
+                               [&](std::uint32_t idx, std::uint32_t, Score s) {
+                                   topk.add(idx, s);
+                                   return true;
+                               });
+            const DatabaseScanner::DispatchStats ds = scanner.dispatch_stats();
+            ASSERT_GT(ds.cohorts_interseq, 0u) << label;
+            ASSERT_EQ(ds.cohorts_streamed > 0, streamed) << label;
 
-        scanner.reset();
-        const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
-        std::size_t emitted = 0;
-        const bool completed = scanner.run_worker(
-            scratch, [&](std::uint32_t idx, std::uint32_t, Score s) {
-                topk.add(idx, s);
-                ++emitted;
-                return true;
-            });
-        const std::uint64_t after = g_allocs.load(std::memory_order_relaxed);
-        EXPECT_TRUE(completed) << "qlen=" << qlen;
-        EXPECT_EQ(emitted, database.size()) << "qlen=" << qlen;
-        EXPECT_EQ(after, before)
-            << "engine scan path allocated in steady state, qlen=" << qlen;
+            scanner.reset();
+            const std::uint64_t before =
+                g_allocs.load(std::memory_order_relaxed);
+            std::size_t emitted = 0;
+            const bool completed = scanner.run_worker(
+                scratch, [&](std::uint32_t idx, std::uint32_t, Score s) {
+                    topk.add(idx, s);
+                    ++emitted;
+                    return true;
+                });
+            const std::uint64_t after =
+                g_allocs.load(std::memory_order_relaxed);
+            EXPECT_TRUE(completed) << label;
+            EXPECT_EQ(emitted, database.size()) << label;
+            EXPECT_EQ(after, before)
+                << "engine scan path allocated in steady state, " << label;
+        }
     }
 }
 

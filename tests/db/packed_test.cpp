@@ -6,9 +6,11 @@
 #include <cstdint>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "db/database.hpp"
+#include "db/presets.hpp"
 #include "util/error.hpp"
 
 namespace swh::db {
@@ -156,10 +158,13 @@ TEST(PackedDatabase, ScanOrderTieBreakIsBitReproducible) {
     }
 }
 
-/// Structural invariants every interleaved layout must satisfy,
-/// whatever mix of natural and compacted cohorts the lengths produce:
-/// each subject packed exactly once, arena contents matching the
-/// subject through the slots table, fill bars respected.
+/// Structural invariants every interleaved layout must satisfy: each
+/// subject packed exactly once; heads first, then followers in
+/// (column, lane) order; the subjects of a lane contiguous from column
+/// 0 with no pad between them and within the cohort's columns; the
+/// arena matching each subject at its lane and start column; the
+/// starts table matching the followers; every cohort but a final tail
+/// of at most W subjects and the singletons at the fill bar.
 void check_layout(const PackedDatabase& packed, int lanes) {
     const InterleavedChunks& chunks = packed.interleaved(lanes);
     EXPECT_EQ(chunks.lanes(), lanes);
@@ -170,13 +175,14 @@ void check_layout(const PackedDatabase& packed, int lanes) {
     EXPECT_EQ(v.pad_code, align::InterseqProfile::kPadCode);
     EXPECT_EQ(reinterpret_cast<std::uintptr_t>(v.arena) % 64, 0u);
     if (packed.size() > 0) {
-        ASSERT_NE(v.slots, nullptr);
-        ASSERT_EQ(chunks.slots().size(), packed.size());
+        ASSERT_NE(v.members, nullptr);
+        ASSERT_EQ(chunks.members().size(), packed.size());
     }
 
     const std::uint64_t w = static_cast<std::uint64_t>(lanes);
     std::vector<int> seen(packed.size(), 0);
-    std::size_t compacted = 0;
+    std::uint32_t next_member = 0;
+    std::uint32_t next_start = 0;
     for (std::size_t c = 0; c < v.count; ++c) {
         const align::CohortDesc& d = v.cohorts[c];
         if (c > 0) {
@@ -185,62 +191,137 @@ void check_layout(const PackedDatabase& packed, int lanes) {
         }
         ASSERT_GE(d.lanes_used, 1u);
         ASSERT_LE(d.lanes_used, w);
-        const bool is_compacted =
-            (d.flags & align::CohortDesc::kCompacted) != 0;
-        compacted += is_compacted ? 1 : 0;
-        if (!is_compacted) {
-            // Natural cohorts survive only at full width and above the
-            // full-width fill bar; anything else must be re-packed.
+        ASSERT_GE(d.subjects, d.lanes_used);
+        EXPECT_EQ(d.first_member, next_member);
+        EXPECT_EQ(d.first_start, next_start);
+        next_member += d.subjects;
+        next_start += d.starts;
+        if (d.subjects > d.lanes_used) {
+            // Only a full-width cohort has anything left to stream.
             EXPECT_EQ(d.lanes_used, w);
+        }
+        const bool tail = c + 1 == v.count && d.subjects == d.lanes_used;
+        if (d.subjects > 1 && !tail) {
             EXPECT_GE(d.residues * 100,
                       std::uint64_t{d.columns} * w *
-                          InterleavedChunks::kCohortFillPct);
-        } else {
-            // Compacted cohorts hold the bar against their own used
-            // lane count (1-subject outlier cohorts pass trivially).
-            EXPECT_GE(d.residues * 100, std::uint64_t{d.columns} *
-                                            d.lanes_used *
-                                            InterleavedChunks::kCohortFillPct);
+                          InterleavedChunks::kCohortFillPct)
+                << "cohort " << c;
         }
+
+        std::vector<std::uint32_t> lane_end(w, 0);
+        std::vector<std::uint64_t> start_lanes;  // per distinct column
+        std::vector<std::uint32_t> start_cols;
         std::uint64_t residues = 0;
-        for (std::uint32_t l = 0; l < d.lanes_used; ++l) {
-            const std::uint32_t slot = v.slots[d.first_slot + l];
-            ASSERT_LT(slot, packed.size());
-            ++seen[slot];
-            const std::uint32_t idx = order[slot];
-            const auto sub = packed.subject(idx);
+        for (std::uint32_t k = 0; k < d.subjects; ++k) {
+            const align::CohortMember& mb = v.members[d.first_member + k];
+            ASSERT_LT(mb.slot, packed.size());
+            ASSERT_LT(mb.lane, d.lanes_used);
+            ++seen[mb.slot];
+            const auto sub = packed.subject(order[mb.slot]);
             residues += sub.size();
-            EXPECT_LE(sub.size(), d.columns);
-            // The longest member leads, so columns is exact.
-            if (l == 0) {
-                EXPECT_EQ(d.columns, sub.size());
-            }
-            for (std::size_t j = 0; j < d.columns; ++j) {
-                const align::Code got = v.arena[d.offset + j * w + l];
-                if (j < sub.size()) {
-                    EXPECT_EQ(got, sub[j])
-                        << "cohort " << c << " lane " << l << " col " << j;
-                } else {
-                    EXPECT_EQ(got, align::InterseqProfile::kPadCode)
-                        << "cohort " << c << " lane " << l << " col " << j;
+            if (k < d.lanes_used) {
+                EXPECT_EQ(mb.lane, k) << "cohort " << c;
+                EXPECT_EQ(mb.column, 0u) << "cohort " << c;
+            } else {
+                EXPECT_GT(mb.column, 0u);
+                EXPECT_FALSE(sub.empty());
+                const align::CohortMember& prev =
+                    v.members[d.first_member + k - 1];
+                if (k > d.lanes_used) {
+                    EXPECT_TRUE(prev.column < mb.column ||
+                                (prev.column == mb.column &&
+                                 prev.lane < mb.lane))
+                        << "cohort " << c << " member " << k;
                 }
+                if (start_cols.empty() || start_cols.back() != mb.column) {
+                    start_cols.push_back(mb.column);
+                    start_lanes.push_back(0);
+                }
+                start_lanes.back() |= std::uint64_t{1} << mb.lane;
+            }
+            // Back to back: each subject starts where its lane's
+            // previous one ended.
+            EXPECT_EQ(mb.column, lane_end[mb.lane])
+                << "cohort " << c << " member " << k;
+            lane_end[mb.lane] = mb.column + static_cast<std::uint32_t>(
+                                                sub.size());
+            ASSERT_LE(lane_end[mb.lane], d.columns) << "cohort " << c;
+            if (k == 0) {
+                EXPECT_EQ(d.columns, sub.size());  // the longest leads
+            }
+            for (std::size_t j = 0; j < sub.size(); ++j) {
+                EXPECT_EQ(v.arena[d.offset + (mb.column + j) * w + mb.lane],
+                          sub[j])
+                    << "cohort " << c << " member " << k << " col " << j;
             }
         }
         EXPECT_EQ(d.residues, residues);
-        // Absent lanes are pure padding: the kernels always run the
-        // cohort at full width.
-        for (std::uint64_t l = d.lanes_used; l < w; ++l) {
-            for (std::size_t j = 0; j < d.columns; ++j) {
+        // Lane tails and absent lanes are pure padding: the kernels
+        // always run the cohort at full width.
+        for (std::uint64_t l = 0; l < w; ++l) {
+            for (std::size_t j = lane_end[l]; j < d.columns; ++j) {
                 EXPECT_EQ(v.arena[d.offset + j * w + l],
-                          align::InterseqProfile::kPadCode);
+                          align::InterseqProfile::kPadCode)
+                    << "cohort " << c << " lane " << l << " col " << j;
             }
         }
+        const auto starts = v.starts_of(d);
+        ASSERT_EQ(starts.size(), start_cols.size()) << "cohort " << c;
+        for (std::size_t i = 0; i < starts.size(); ++i) {
+            EXPECT_EQ(starts[i].column, start_cols[i]);
+            EXPECT_EQ(starts[i].lanes, start_lanes[i]);
+        }
     }
-    EXPECT_EQ(compacted, chunks.compacted_cohorts());
+    EXPECT_EQ(next_member, chunks.members().size());
+    EXPECT_EQ(next_start, chunks.starts().size());
     for (std::size_t s = 0; s < seen.size(); ++s) {
         EXPECT_EQ(seen[s], 1) << "scan slot " << s
                               << " not packed exactly once";
     }
+}
+
+/// Real-residue share of the layout's W x columns cells.
+double layout_fill(const InterleavedChunks& chunks) {
+    double residues = 0.0;
+    double cells = 0.0;
+    for (std::size_t c = 0; c < chunks.cohort_count(); ++c) {
+        residues += static_cast<double>(chunks.cohort(c).residues);
+        cells += static_cast<double>(chunks.cohort(c).columns) *
+                 chunks.lanes();
+    }
+    return cells == 0.0 ? 1.0 : residues / cells;
+}
+
+/// True when cohort c is today's natural group: one subject per lane,
+/// the W (or, for a final tail, fewer) consecutive scan slots from
+/// `first_slot`, in lane order.
+bool natural_group(const InterleavedChunks& chunks, std::size_t c,
+                   std::uint32_t first_slot, std::uint32_t count) {
+    const align::CohortDesc& d = chunks.cohort(c);
+    if (d.lanes_used != count || d.subjects != count || d.starts != 0) {
+        return false;
+    }
+    for (std::uint32_t l = 0; l < count; ++l) {
+        const align::CohortMember& mb = chunks.members()[d.first_member + l];
+        if (mb.slot != first_slot + l || mb.lane != l || mb.column != 0) {
+            return false;
+        }
+    }
+    return true;
+}
+
+std::vector<align::Sequence> fixed_lengths(
+    const std::vector<std::pair<std::size_t, std::size_t>>& runs) {
+    std::vector<align::Sequence> seqs;
+    for (const auto& [count, len] : runs) {
+        for (std::size_t i = 0; i < count; ++i) {
+            seqs.push_back(align::Sequence{
+                "s" + std::to_string(seqs.size()), "",
+                std::vector<align::Code>(
+                    len, static_cast<align::Code>(seqs.size() % 20))});
+        }
+    }
+    return seqs;
 }
 
 TEST(InterleavedChunksTest, CohortLayoutMatchesScanOrder) {
@@ -251,92 +332,141 @@ TEST(InterleavedChunksTest, CohortLayoutMatchesScanOrder) {
 }
 
 TEST(InterleavedChunksTest, UniformLengthsStayNaturalCohorts) {
-    // Equal lengths fill every natural cohort to 100%: nothing but the
-    // sub-width tail should be re-packed.
-    std::vector<align::Sequence> seqs;
-    for (int i = 0; i < 70; ++i) {
-        seqs.push_back(align::Sequence{
-            "u" + std::to_string(i), "", std::vector<align::Code>(80, 3)});
-    }
-    const PackedDatabase packed = PackedDatabase::pack(seqs);
+    // Equal lengths leave no lane room: 70 = 4 full natural cohorts +
+    // a 6-subject tail, one subject per lane, exactly the consecutive
+    // scan-slot groups.
+    const PackedDatabase packed =
+        PackedDatabase::pack(fixed_lengths({{70, 80}}));
     constexpr int kLanes = 16;
     const InterleavedChunks& chunks = packed.interleaved(kLanes);
-    // 70 = 4 full natural cohorts + a 6-subject compacted tail.
-    EXPECT_EQ(chunks.cohort_count(), 5u);
-    EXPECT_EQ(chunks.compacted_cohorts(), 1u);
     check_layout(packed, kLanes);
+    ASSERT_EQ(chunks.cohort_count(), 5u);
+    EXPECT_TRUE(chunks.starts().empty());
+    for (std::uint32_t c = 0; c < 5; ++c) {
+        EXPECT_TRUE(natural_group(chunks, c, 16 * c, c < 4 ? 16 : 6))
+            << "cohort " << c;
+    }
+}
+
+TEST(InterleavedChunksTest, NarrowLengthsKeepNaturalGroups) {
+    // Dense lengths (200..260 aa): no lane's leftover room (< 61) fits a
+    // remaining subject (>= 200), so every cohort is the natural group
+    // of W consecutive scan slots, as before lane streaming.
+    DatabaseSpec spec;
+    spec.name = "narrow";
+    spec.num_sequences = 320;
+    spec.length.min_len = 200;
+    spec.length.max_len = 260;
+    spec.seed = 29;
+    const Database database = Database::generate(spec);
+    const PackedDatabase packed = PackedDatabase::pack(database.sequences());
+    for (const int lanes : {16, 32, 64}) {
+        const InterleavedChunks& chunks = packed.interleaved(lanes);
+        check_layout(packed, lanes);
+        const auto w = static_cast<std::uint32_t>(lanes);
+        ASSERT_EQ(chunks.cohort_count(), 320u / w);
+        EXPECT_TRUE(chunks.starts().empty());
+        for (std::uint32_t c = 0; c < chunks.cohort_count(); ++c) {
+            EXPECT_TRUE(natural_group(chunks, c, c * w, w))
+                << "lanes " << lanes << " cohort " << c;
+        }
+    }
 }
 
 TEST(InterleavedChunksTest, RaggedLengthsCompactIntoDenseCohorts) {
-    // A length cliff inside what would be one natural cohort: 8
-    // subjects of 400 followed by 58 of 40. The natural W-stride group
-    // mixing them fills 8*400+8*40 / 16*400 = 55% < 75%, so the whole
-    // head must be re-packed into dense length-adjacent cohorts.
-    std::vector<align::Sequence> seqs;
-    for (int i = 0; i < 8; ++i) {
-        seqs.push_back(align::Sequence{
-            "long" + std::to_string(i), "",
-            std::vector<align::Code>(400, 5)});
-    }
-    for (int i = 0; i < 58; ++i) {
-        seqs.push_back(align::Sequence{
-            "short" + std::to_string(i), "",
-            std::vector<align::Code>(40, 7)});
-    }
-    const PackedDatabase packed = PackedDatabase::pack(seqs);
+    // A length cliff: 8 subjects of 400 and 58 of 40. The natural group
+    // mixing them would fill 8*400+8*40 / 16*400 = 55%; streamed, the
+    // eight short-headed lanes take the other 50 short subjects back
+    // to back (9 fit each 360-column room), so everything rides in one
+    // 400-column cohort at 5520 / 6400 = 86% fill.
+    const PackedDatabase packed =
+        PackedDatabase::pack(fixed_lengths({{8, 400}, {58, 40}}));
     constexpr int kLanes = 16;
     const InterleavedChunks& chunks = packed.interleaved(kLanes);
     check_layout(packed, kLanes);
-    EXPECT_GE(chunks.compacted_cohorts(), 2u);
-    // The 400-column cohort must not run at the full natural width (16
-    // lanes would be 55% fill): the re-pack stops adding 40-residue
-    // tag-alongs once aggregate fill would drop below the bar. The
-    // bulk of the short subjects land in dense natural 40-column
-    // cohorts instead.
-    const align::InterleavedCohorts v = chunks.view();
-    bool long_cohort = false, natural_short = false;
-    for (std::size_t c = 0; c < v.count; ++c) {
-        const align::CohortDesc& d = v.cohorts[c];
-        if (d.columns == 400) {
-            long_cohort = true;
-            EXPECT_LT(d.lanes_used, 16u);
-            EXPECT_NE(d.flags & align::CohortDesc::kCompacted, 0u);
-        }
-        if (d.columns == 40 &&
-            (d.flags & align::CohortDesc::kCompacted) == 0) {
-            natural_short = true;
-        }
+    ASSERT_EQ(chunks.cohort_count(), 1u);
+    const align::CohortDesc& d = chunks.cohort(0);
+    EXPECT_EQ(d.columns, 400u);
+    EXPECT_EQ(d.lanes_used, 16u);
+    EXPECT_EQ(d.subjects, 66u);
+    EXPECT_EQ(d.residues, 8u * 400 + 58u * 40);
+    // Followers start every 40 columns in lanes 8..15 (at most 6 or 7
+    // per lane: 50 followers over 8 lanes, largest room first).
+    ASSERT_GT(d.starts, 0u);
+    for (const align::SubjectStart& st : chunks.view().starts_of(d)) {
+        EXPECT_EQ(st.column % 40, 0u);
+        EXPECT_EQ(st.lanes & 0xFFu, 0u) << "long lanes have no room";
     }
-    EXPECT_TRUE(long_cohort);
-    EXPECT_TRUE(natural_short);
 }
 
 TEST(InterleavedChunksTest, IsolatedOutlierGetsSingleSubjectCohort) {
-    // One 2000-residue outlier over a sea of 50-residue subjects: the
-    // greedy re-pack cannot pair anything with it without collapsing
-    // fill, so it must ride alone.
-    std::vector<align::Sequence> seqs;
-    seqs.push_back(align::Sequence{
-        "outlier", "", std::vector<align::Code>(2000, 2)});
-    for (int i = 0; i < 33; ++i) {
-        seqs.push_back(align::Sequence{
-            "bg" + std::to_string(i), "", std::vector<align::Code>(50, 9)});
-    }
-    const PackedDatabase packed = PackedDatabase::pack(seqs);
-    constexpr int kLanes = 16;
+    // One 20000-residue outlier over 500 subjects of 300: the remaining
+    // residues could fill only 170000 / (64 x 20000) = 13% of a cohort
+    // opened at the outlier's length, so the guard makes it a singleton
+    // instead of pulling the database into one sparse cohort. The rest
+    // are natural groups: 7 full cohorts and a 52-subject tail.
+    const PackedDatabase packed =
+        PackedDatabase::pack(fixed_lengths({{1, 20000}, {500, 300}}));
+    constexpr int kLanes = 64;
     const InterleavedChunks& chunks = packed.interleaved(kLanes);
     check_layout(packed, kLanes);
-    const align::InterleavedCohorts v = chunks.view();
-    bool found = false;
-    for (std::size_t c = 0; c < v.count; ++c) {
-        const align::CohortDesc& d = v.cohorts[c];
-        if (d.columns == 2000) {
-            found = true;
-            EXPECT_EQ(d.lanes_used, 1u);
-            EXPECT_NE(d.flags & align::CohortDesc::kCompacted, 0u);
-        }
+    ASSERT_EQ(chunks.cohort_count(), 9u);
+    const align::CohortDesc& outlier = chunks.cohort(0);
+    EXPECT_EQ(outlier.columns, 20000u);
+    EXPECT_EQ(outlier.lanes_used, 1u);
+    EXPECT_EQ(outlier.subjects, 1u);
+    for (std::uint32_t c = 1; c < 9; ++c) {
+        EXPECT_TRUE(natural_group(chunks, c, 1 + 64 * (c - 1),
+                                  c < 8 ? 64 : 52))
+            << "cohort " << c;
     }
-    EXPECT_TRUE(found);
+    // No more cells than one subject per lane needs: the outlier's own
+    // cohort plus eight of 300 columns (500 subjects over 64 lanes).
+    std::uint64_t cells = 0;
+    for (std::size_t c = 0; c < chunks.cohort_count(); ++c) {
+        cells += std::uint64_t{chunks.cohort(c).columns} * kLanes;
+    }
+    EXPECT_LE(cells, (20000u + 8u * 300u) * std::uint64_t{kLanes});
+}
+
+TEST(InterleavedChunksTest, UnderfilledCohortRollsBackToSingleton) {
+    // At W = 4 a cohort opened at 100 columns takes heads 100, 51, 51,
+    // 51; no remaining 51 fits a 49-column room, so it would end at
+    // 253 / 400 = 63% < kCohortFillPct. It is rolled back and the 100
+    // rides alone; the 51s form a full cohort and a 3-subject tail.
+    const PackedDatabase packed =
+        PackedDatabase::pack(fixed_lengths({{1, 100}, {7, 51}}));
+    const InterleavedChunks& chunks = packed.interleaved(4);
+    check_layout(packed, 4);
+    ASSERT_EQ(chunks.cohort_count(), 3u);
+    EXPECT_TRUE(natural_group(chunks, 0, 0, 1));
+    EXPECT_TRUE(natural_group(chunks, 1, 1, 4));
+    EXPECT_TRUE(natural_group(chunks, 2, 5, 3));
+}
+
+TEST(InterleavedChunksTest, LongTailedDatabaseStreamsToHighFill) {
+    // Rat-shaped lengths (Table II's Ensembl Rat distribution, long
+    // tail to a few thousand residues): the natural 64-wide groups of
+    // the long tail fill poorly; streamed, the layout fills >= 90%.
+    DatabaseSpec spec = preset_by_name("Ensembl Rat").spec(1.0, 3);
+    spec.name = "rat";
+    spec.num_sequences = 1000;
+    const Database database = Database::generate(spec);
+    const PackedDatabase packed = PackedDatabase::pack(database.sequences());
+    for (const int lanes : {16, 32, 64}) {
+        check_layout(packed, lanes);
+        const InterleavedChunks& chunks = packed.interleaved(lanes);
+        EXPECT_GE(layout_fill(chunks), 0.9) << "lanes " << lanes;
+        EXPECT_FALSE(chunks.starts().empty()) << "lanes " << lanes;
+    }
+}
+
+TEST(InterleavedChunksTest, EmptySubjectsNeverStream) {
+    // Empty subjects sort last; they may head a lane but never follow
+    // one (two subjects cannot start one lane at one column).
+    const PackedDatabase packed = PackedDatabase::pack(
+        fixed_lengths({{2, 90}, {3, 60}, {9, 20}, {4, 0}}));
+    for (const int lanes : {2, 4, 16}) check_layout(packed, lanes);
 }
 
 TEST(InterleavedChunksTest, CachedPerWidthAndThreadSafe) {

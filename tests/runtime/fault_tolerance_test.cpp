@@ -17,6 +17,7 @@
 #include "engines/throttled_engine.hpp"
 #include "obs/trace.hpp"
 #include "runtime/hybrid_runtime.hpp"
+#include "entry_gate.hpp"
 
 namespace swh::runtime {
 namespace {
@@ -113,10 +114,14 @@ TEST(FaultTolerance, SlaveCrashMidTaskIsRecoveredBitIdentical) {
     engines::FaultPlan crash;
     crash.kind = engines::FaultKind::Crash;
     crash.after_cells = 1;  // crash mid-task, after real work happened
+    // The healthy slaves' first tasks wait until crash0 has one.
+    EntryGate gate(1, std::chrono::milliseconds(100));
+    using Role = GatedEngine::Role;
     std::vector<SlaveSpec> slaves;
-    slaves.push_back(SlaveSpec{"crash0", faulty(crash)});
-    slaves.push_back(SlaveSpec{"sse0", cpu_engine()});
-    slaves.push_back(SlaveSpec{"sse1", cpu_engine()});
+    slaves.push_back(
+        SlaveSpec{"crash0", gated(faulty(crash), gate, Role::kArrive)});
+    slaves.push_back(SlaveSpec{"sse0", gated(cpu_engine(), gate, Role::kWait)});
+    slaves.push_back(SlaveSpec{"sse1", gated(cpu_engine(), gate, Role::kWait)});
     const RunReport report = rt.run(std::move(slaves), core::make_pss());
 
     EXPECT_EQ(report.hits, reference_hits(database, queries, 3));
@@ -143,9 +148,15 @@ TEST(FaultTolerance, EngineThrowIsRetriedToCompletion) {
     engines::FaultPlan flaky;
     flaky.kind = engines::FaultKind::Throw;
     flaky.max_faults = 2;
+    // sse0's first task waits until flaky0 has entered execute() twice
+    // (the retried task goes to the idle flaky0). No liveness here, so
+    // the wait may be longer.
+    EntryGate gate(2, std::chrono::milliseconds(1000));
+    using Role = GatedEngine::Role;
     std::vector<SlaveSpec> slaves;
-    slaves.push_back(SlaveSpec{"flaky0", faulty(flaky)});
-    slaves.push_back(SlaveSpec{"sse0", cpu_engine()});
+    slaves.push_back(SlaveSpec{
+        "flaky0", gated(faulty(flaky), gate, Role::kArrive, 2)});
+    slaves.push_back(SlaveSpec{"sse0", gated(cpu_engine(), gate, Role::kWait)});
     const RunReport report = rt.run(std::move(slaves), core::make_pss());
 
     EXPECT_EQ(report.hits, reference_hits(database, queries, 3));
@@ -311,12 +322,20 @@ TEST(FaultTolerance, HalfFaultySlavesMatchFaultFreeBaseline) {
     engines::FaultPlan stall;
     stall.kind = engines::FaultKind::Stall;
     stall.max_faults = 1;
+    // The healthy slaves' first tasks wait until each faulty slave has
+    // entered execute().
+    EntryGate gate(3, std::chrono::milliseconds(100));
+    using Role = GatedEngine::Role;
     std::vector<SlaveSpec> slaves;
-    slaves.push_back(SlaveSpec{"crash0", faulty(crash)});
-    slaves.push_back(SlaveSpec{"flaky0", faulty(flaky)});
-    slaves.push_back(SlaveSpec{"stall0", faulty(stall)});
+    slaves.push_back(
+        SlaveSpec{"crash0", gated(faulty(crash), gate, Role::kArrive)});
+    slaves.push_back(
+        SlaveSpec{"flaky0", gated(faulty(flaky), gate, Role::kArrive)});
+    slaves.push_back(
+        SlaveSpec{"stall0", gated(faulty(stall), gate, Role::kArrive)});
     for (int i = 0; i < 3; ++i) {
-        slaves.push_back(SlaveSpec{"sse" + std::to_string(i), cpu_engine()});
+        slaves.push_back(SlaveSpec{"sse" + std::to_string(i),
+                                   gated(cpu_engine(), gate, Role::kWait)});
     }
     const RunReport report = rt.run(std::move(slaves), core::make_pss());
 
@@ -447,10 +466,17 @@ TEST(FaultTolerance, FaultMetricsAndTraceEventsAreEmitted) {
     engines::FaultPlan flaky;
     flaky.kind = engines::FaultKind::Throw;
     flaky.max_faults = 1;
+    // The healthy sse0 could otherwise drain all four queries before
+    // either faulty slave is fed a task: its first task waits until
+    // both faulty engines have been entered.
+    EntryGate gate(2, std::chrono::milliseconds(100));
+    using Role = GatedEngine::Role;
     std::vector<SlaveSpec> slaves;
-    slaves.push_back(SlaveSpec{"crash0", faulty(crash)});
-    slaves.push_back(SlaveSpec{"flaky0", faulty(flaky)});
-    slaves.push_back(SlaveSpec{"sse0", cpu_engine()});
+    slaves.push_back(
+        SlaveSpec{"crash0", gated(faulty(crash), gate, Role::kArrive)});
+    slaves.push_back(
+        SlaveSpec{"flaky0", gated(faulty(flaky), gate, Role::kArrive)});
+    slaves.push_back(SlaveSpec{"sse0", gated(cpu_engine(), gate, Role::kWait)});
     const RunReport report = rt.run(std::move(slaves), core::make_pss());
 
     EXPECT_EQ(report.hits, reference_hits(database, queries, 3));

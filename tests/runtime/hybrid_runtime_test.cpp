@@ -2,12 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+
 #include "align/sw_scalar.hpp"
 #include "db/database.hpp"
 #include "db/presets.hpp"
 #include "engines/cpu_engine.hpp"
 #include "engines/sim_gpu_engine.hpp"
 #include "engines/throttled_engine.hpp"
+#include "entry_gate.hpp"
 
 namespace swh::runtime {
 namespace {
@@ -191,11 +194,17 @@ TEST(HybridRuntime, EarlyLeaverTasksAreRescued) {
     const auto queries = test_queries(8);
     RuntimeOptions options = fast_options();
     HybridRuntime rt(database, queries, options);
+    // The stayer's first task waits until the leaver has one, so the
+    // stayer cannot drain every query before the leaver takes a task.
+    // No liveness here, so a long bound holds nothing up.
+    EntryGate gate(1, std::chrono::milliseconds(1000));
     std::vector<SlaveSpec> slaves;
-    SlaveSpec leaver{"leaver", cpu_engine()};
+    SlaveSpec leaver{"leaver",
+                     gated(cpu_engine(), gate, GatedEngine::Role::kArrive)};
     leaver.leave_after_tasks = 1;
     slaves.push_back(std::move(leaver));
-    slaves.push_back(SlaveSpec{"stayer", cpu_engine()});
+    slaves.push_back(SlaveSpec{
+        "stayer", gated(cpu_engine(), gate, GatedEngine::Role::kWait)});
     const RunReport report = rt.run(std::move(slaves), core::make_pss());
     EXPECT_EQ(report.hits, reference_hits(database, queries, 3));
     EXPECT_TRUE(report.slaves[0].left_early);

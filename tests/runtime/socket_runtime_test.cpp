@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -20,6 +21,7 @@
 #include "obs/sched_log.hpp"
 #include "runtime/hybrid_runtime.hpp"
 #include "runtime/remote.hpp"
+#include "entry_gate.hpp"
 
 namespace swh::runtime {
 namespace {
@@ -82,6 +84,16 @@ RemoteEngineFactory cpu_factory(engines::FaultPlan* plan = nullptr) {
                 std::move(engine), *plan);
         }
         return engine;
+    };
+}
+
+/// `inner`'s engine passed through `gate` (see entry_gate.hpp).
+RemoteEngineFactory gated_factory(RemoteEngineFactory inner, EntryGate& gate,
+                                  GatedEngine::Role role) {
+    return [inner = std::move(inner), &gate,
+            role](const net::wire::Welcome& welcome)
+               -> std::unique_ptr<engines::ComputeEngine> {
+        return gated(inner(welcome), gate, role);
     };
 }
 
@@ -227,9 +239,14 @@ TEST(SocketRuntime, EngineFaultsAndChannelStallStayBitIdentical) {
     mo.runtime = ro;
     RemoteSlaveOptions stalled;
     stalled.inbox_stall_s = 0.002;
+    // The healthy slave's first task waits until the faulty one has
+    // one, so it cannot drain every query first.
+    EntryGate gate(1, std::chrono::milliseconds(500));
     std::vector<RemoteSlaveResult> slave_results;
     const RunReport report = run_socket(
-        database, queries, mo, {cpu_factory(&plan), cpu_factory()},
+        database, queries, mo,
+        {gated_factory(cpu_factory(&plan), gate, GatedEngine::Role::kArrive),
+         gated_factory(cpu_factory(), gate, GatedEngine::Role::kWait)},
         &slave_results, {stalled, RemoteSlaveOptions{}});
 
     EXPECT_EQ(report.hits, reference);
@@ -259,10 +276,14 @@ TEST(SocketRuntime, SlaveCrashOverSocketIsRecoveredBitIdentical) {
 
     RemoteMasterOptions mo;
     mo.runtime = ro;
+    // As above; bounded below the 0.25 s liveness timeout.
+    EntryGate gate(1, std::chrono::milliseconds(100));
     std::vector<RemoteSlaveResult> slave_results;
-    const RunReport report =
-        run_socket(database, queries, mo,
-                   {cpu_factory(&plan), cpu_factory()}, &slave_results);
+    const RunReport report = run_socket(
+        database, queries, mo,
+        {gated_factory(cpu_factory(&plan), gate, GatedEngine::Role::kArrive),
+         gated_factory(cpu_factory(), gate, GatedEngine::Role::kWait)},
+        &slave_results);
 
     EXPECT_EQ(report.hits, reference);
     EXPECT_TRUE(report.failed_tasks.empty());
