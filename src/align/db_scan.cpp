@@ -28,6 +28,8 @@ DatabaseScanner::DatabaseScanner(const StripedAligner& aligner,
 
     SWH_REQUIRE(cohorts_.arena != nullptr && cohorts_.cohorts != nullptr,
                 "cohort view has cohorts but no arena");
+    SWH_REQUIRE(cohorts_.members != nullptr,
+                "cohort view has cohorts but no member table");
     SWH_REQUIRE(aligner.interseq() != nullptr,
                 "cohort scan needs an inter-sequence-capable aligner");
     SWH_REQUIRE(cohorts_.lanes == lanes_u8(aligner.isa()),
@@ -53,7 +55,7 @@ DatabaseScanner::DatabaseScanner(const StripedAligner& aligner,
         for (std::size_t c = 0; c < cohorts_.count; ++c) {
             const CohortDesc& d = cohorts_.cohorts[c];
             best_entries_ = std::max<std::size_t>(
-                best_entries_, w + subject_count(d) - d.lanes_used);
+                best_entries_, w + d.subjects - d.lanes_used);
             const std::uint64_t cells =
                 std::uint64_t{d.columns} *
                 static_cast<std::uint64_t>(cohorts_.lanes);
@@ -81,7 +83,7 @@ DatabaseScanner::DatabaseScanner(const StripedAligner& aligner,
     const auto dist = [&](std::uint32_t c) {
         const CohortDesc& d = cohorts_.cohorts[c];
         const auto mean = static_cast<std::int64_t>(
-            d.residues / std::max<std::uint32_t>(1, subject_count(d)));
+            d.residues / std::max<std::uint32_t>(1, d.subjects));
         return std::llabs(mean - want_len);
     };
     std::partial_sort(ranked.begin(), ranked.begin() + kPrimeCohorts,

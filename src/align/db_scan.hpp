@@ -432,29 +432,14 @@ private:
                                           : static_cast<std::uint32_t>(slot);
     }
 
-    /// Subjects of cohort d: its member table entries, or one per used
-    /// lane when the view has no member table.
-    std::uint32_t subject_count(const CohortDesc& d) const {
-        return cohorts_.members != nullptr ? d.subjects : d.lanes_used;
-    }
-
-    /// Lane of member k of cohort d (heads come first, member l = lane
-    /// l, so without a member table member k is lane k).
+    /// Lane of member k of cohort d.
     std::uint32_t member_lane(const CohortDesc& d, std::uint32_t k) const {
-        return cohorts_.members != nullptr
-                   ? cohorts_.members[d.first_member + k].lane
-                   : k;
+        return cohorts_.members[d.first_member + k].lane;
     }
 
-    /// Original database index of member k of cohort d: through the
-    /// layout's member table when present, else the consecutive-slot
-    /// rule.
+    /// Original database index of member k of cohort d.
     std::uint32_t member_index(const CohortDesc& d, std::uint32_t k) const {
-        const std::size_t slot =
-            cohorts_.members != nullptr
-                ? cohorts_.members[d.first_member + k].slot
-                : d.first_member + static_cast<std::size_t>(k);
-        return slot_index(slot);
+        return slot_index(cohorts_.members[d.first_member + k].slot);
     }
 
     /// sw_interseq_u8's result entry of member k: the lane heads hold
@@ -499,7 +484,7 @@ private:
     SWH_HOT_PATH bool rebound_pays(const CohortDesc& d,
                                    std::uint64_t sat_used) const {
         std::uint64_t sat_len = 0;
-        for (std::uint32_t k = 0; k < subject_count(d); ++k) {
+        for (std::uint32_t k = 0; k < d.subjects; ++k) {
             if ((sat_used >> member_lane(d, k)) & 1) {
                 sat_len += subjects_.lengths[member_index(d, k)];
             }
@@ -526,56 +511,37 @@ private:
         std::uint8_t bound8[64];
         const Code* cols = cohorts_.arena + d.offset;
         const std::size_t qlen = aligner_->interseq()->query_len;
-        std::uint64_t sat;
-        std::uint64_t survive;
-        if (qlen <= kFilterChunkRows) {
-            sat = sw_ungapped_interseq_u8(*aligner_->interseq(), cols,
-                                          d.columns, aligner_->gap(),
-                                          aligner_->isa(), scratch, bound8);
-            // Non-saturated lanes hold exact chain bounds strictly
-            // below 255 - bias <= 255, so clamping the floor to 255
-            // prunes them correctly even when tau exceeds the u8 range.
-            const std::uint8_t floor8 =
-                static_cast<std::uint8_t>(std::min<Score>(tau, 255));
-            survive =
-                (lanes_at_least(bound8, floor8, aligner_->isa()) | sat) &
-                used;
+        // Bound balanced tiles of at most kFilterChunkRows rows each and
+        // sum per lane (align/ungapped.hpp) — each tile's DP state stays
+        // L1-resident and its bound in u8 range; a query of up to
+        // kFilterChunkRows rows is one tile. The summed bound loosens
+        // with tile count (each junction forgoes a link charge), so
+        // against subjects of comparable length it stops pruning — the
+        // sweep cost model in claim_cohorts stops paying for it there;
+        // tightening the bound here does not (a single-tile i16 sweep
+        // was tried and measures ~40% SLOWER per cohort than the exact
+        // inter-sequence u8 kernel it feeds, while still pruning
+        // nothing long).
+        const std::size_t tiles = std::max<std::size_t>(
+            1, (qlen + kFilterChunkRows - 1) / kFilterChunkRows);
+        const std::size_t rows = (qlen + tiles - 1) / tiles;
+        Score acc[64] = {};
+        std::uint64_t sat = 0;
+        for (std::size_t r0 = 0; r0 < qlen; r0 += rows) {
+            sat |= sw_ungapped_interseq_u8(
+                *aligner_->interseq(), cols, d.columns, aligner_->gap(),
+                aligner_->isa(), scratch, bound8, r0, r0 + rows);
             for (std::uint32_t l = 0; l < d.lanes_used; ++l) {
-                bound[l] = (sat >> l) & 1 ? kUnbounded : bound8[l];
+                acc[l] += static_cast<Score>(bound8[l]);
             }
-        } else {
-            // Long query: bound kFilterChunkRows-row tiles separately
-            // and sum per lane (align/ungapped.hpp) — each tile's DP
-            // state stays L1-resident and its bound in u8 range. The
-            // summed bound loosens with tile count (each junction
-            // forgoes a link charge), so against subjects of comparable
-            // length it stops pruning — the sweep cost model in
-            // claim_cohorts stops paying for it there; tightening the
-            // bound here does not (a single-tile i16 sweep was tried
-            // and measures ~40% SLOWER per cohort than the exact
-            // inter-sequence u8 kernel it feeds, while still pruning
-            // nothing long).
-            const std::size_t tiles =
-                (qlen + kFilterChunkRows - 1) / kFilterChunkRows;
-            const std::size_t rows = (qlen + tiles - 1) / tiles;
-            Score acc[64] = {};
-            sat = 0;
-            for (std::size_t r0 = 0; r0 < qlen; r0 += rows) {
-                sat |= sw_ungapped_interseq_u8(
-                    *aligner_->interseq(), cols, d.columns, aligner_->gap(),
-                    aligner_->isa(), scratch, bound8, r0, r0 + rows);
-                for (std::uint32_t l = 0; l < d.lanes_used; ++l) {
-                    acc[l] += static_cast<Score>(bound8[l]);
-                }
-            }
-            survive = sat & used;
-            for (std::uint32_t l = 0; l < d.lanes_used; ++l) {
-                if (acc[l] >= tau) survive |= std::uint64_t{1} << l;
-                bound[l] = (sat >> l) & 1 ? kUnbounded : acc[l];
-            }
-            survive &= used;
         }
-        if (striped_exact && qlen <= kFilterChunkRows &&
+        std::uint64_t survive = sat;
+        for (std::uint32_t l = 0; l < d.lanes_used; ++l) {
+            if (acc[l] >= tau) survive |= std::uint64_t{1} << l;
+            bound[l] = (sat >> l) & 1 ? kUnbounded : acc[l];
+        }
+        survive &= used;
+        if (striped_exact && tiles == 1 &&
             std::popcount(sat & used) >= kRebound16MinLanes &&
             rebound_pays(d, sat & used)) {
             // Saturated lanes carry no trusted u8 bound; one 16-bit
@@ -667,8 +633,7 @@ private:
                     const double ns = SweepModel::ns_since(t0);
                     std::uint64_t pruned_residues = 0;
                     // A pruned lane's bound covers every subject in it.
-                    for (std::uint32_t k = 0; k < subject_count(d) && keep;
-                         ++k) {
+                    for (std::uint32_t k = 0; k < d.subjects && keep; ++k) {
                         if ((survive >> member_lane(d, k)) & 1) continue;
                         const std::uint32_t idx = member_index(d, k);
                         ++t.pruned;
@@ -714,8 +679,7 @@ private:
                                    aligner_->gap(), aligner_->isa(), scratch,
                                    best, cohorts_.starts_of(d));
                     model.exact(path, SweepModel::ns_since(t0), cells);
-                    for (std::uint32_t k = 0; k < subject_count(d) && keep;
-                         ++k) {
+                    for (std::uint32_t k = 0; k < d.subjects && keep; ++k) {
                         if (((survive >> member_lane(d, k)) & 1) == 0) continue;
                         const std::uint32_t idx = member_index(d, k);
                         const Score score = best[best_entry(d, k)];
@@ -734,7 +698,7 @@ private:
                     // full-width kernel would waste most of its fixed
                     // cost on pruned lanes. Batch the survivors; they
                     // are re-packed into dense cohorts at claim end.
-                    for (std::uint32_t k = 0; k < subject_count(d); ++k) {
+                    for (std::uint32_t k = 0; k < d.subjects; ++k) {
                         if ((survive >> member_lane(d, k)) & 1) {
                             // NOLINTNEXTLINE(swh-no-alloc-in-hot-path):
                             // survivor batch; capacity is retained
@@ -746,8 +710,7 @@ private:
                     ++t.cohorts_striped;
                     const auto t0 = SweepModel::Clock::now();
                     std::uint64_t residues = 0;
-                    for (std::uint32_t k = 0; k < subject_count(d) && keep;
-                         ++k) {
+                    for (std::uint32_t k = 0; k < d.subjects && keep; ++k) {
                         if (((survive >> member_lane(d, k)) & 1) == 0) continue;
                         const std::uint32_t idx = member_index(d, k);
                         residues += subjects_.lengths[idx];
@@ -787,44 +750,34 @@ private:
         return keep;
     }
 
-    /// Re-packs batched funnel survivors into dense scratch cohorts
-    /// (column-major, pad sentinel, exactly the layout geometry) and
-    /// scores them with the inter-sequence u8 kernel. Pending
-    /// survivors are first sorted length-descending and split at
-    /// length cliffs with a greedy rule (a group grows while it keeps
-    /// kInterseqMinFillPct of its used lanes filled) —
-    /// claims arrive primed-first, so a straggler long survivor must
-    /// never force thousands of pad columns onto a batch of short
-    /// ones. Without `force`, only full-width batches run (a blocked
-    /// cliff group waits for more survivors); with `force`, every
-    /// group is settled — inter-sequence when its full-width fill
-    /// still meets the dispatch bar, striped per subject otherwise
-    /// (long isolated survivors run near striped peak anyway).
-    /// Overflowed lanes join `overflow` for the wide-rescore stages.
-    template <class EmitFn>
-    SWH_HOT_PATH bool flush_repack(std::vector<std::uint32_t>& pending,
-                                   bool force,
-                      ScanScratch& scratch, std::vector<Code>& repack,
-                      EmitFn&& emit, std::vector<std::uint32_t>& overflow,
-                      WorkerTallies& t) {
-        bool keep = true;
+    /// Length grouping shared by the survivor repack and the overflow
+    /// drain: sorts `batch` length-descending (index tie-break) and
+    /// splits it at length cliffs with a greedy rule — a group of at
+    /// most W grows while it keeps kInterseqMinFillPct of its used
+    /// lanes filled — so a straggler long subject never forces
+    /// thousands of pad columns onto a group of short ones. Calls
+    /// `group(at, end, columns, residues) -> bool` for each group
+    /// [at, end) of `batch` in order, with the group's longest length
+    /// and summed lengths, until it returns false; returns the last
+    /// result (true for an empty batch).
+    template <class GroupFn>
+    SWH_HOT_PATH bool for_each_length_group(std::vector<std::uint32_t>& batch,
+                                            GroupFn&& group) const {
         const auto w = static_cast<std::size_t>(cohorts_.lanes);
-        const std::uint64_t bar =
-            min_fill_pct(aligner_->interseq()->query_len);
-        std::sort(pending.begin(), pending.end(),
+        std::sort(batch.begin(), batch.end(),
                   [this](std::uint32_t a, std::uint32_t b) {
                       const std::uint32_t la = subjects_.lengths[a];
                       const std::uint32_t lb = subjects_.lengths[b];
                       return la != lb ? la > lb : a < b;
                   });
-        std::size_t kept = 0;
-        for (std::size_t at = 0; keep && at < pending.size();) {
-            const std::uint64_t columns = subjects_.lengths[pending[at]];
+        bool keep = true;
+        for (std::size_t at = 0; keep && at < batch.size();) {
+            const std::uint64_t columns = subjects_.lengths[batch[at]];
             std::uint64_t residues = columns;
             std::size_t end = at + 1;
-            while (end < pending.size() && end - at < w) {
+            while (end < batch.size() && end - at < w) {
                 const std::uint64_t next =
-                    residues + subjects_.lengths[pending[end]];
+                    residues + subjects_.lengths[batch[end]];
                 if (next * 100 <
                     columns * (end - at + 1) * kInterseqMinFillPct) {
                     break;
@@ -832,25 +785,80 @@ private:
                 residues = next;
                 ++end;
             }
-            const std::size_t count = end - at;
-            if (!force && count < w) {
-                // Blocked cliff group: keep it pending for later
-                // survivors (order is restored by the next flush's
-                // sort).
-                for (std::size_t i = at; i < end; ++i) {
-                    pending[kept++] = pending[i];
-                }
-            } else if (residues * 100 >= columns * w * bar) {
-                keep = repack_batch(pending.data() + at, count, scratch,
-                                    repack, emit, overflow, t);
-            } else {
-                for (std::size_t i = at; i < end && keep; ++i) {
-                    keep = score_striped(pending[i], scratch, emit,
-                                         overflow, t);
-                }
-            }
+            keep = group(at, end, columns, residues);
             at = end;
         }
+        return keep;
+    }
+
+    /// Interleaves `count` <= W subjects (original indices) column-major
+    /// into `repack` — lane i holds batch[i], every other cell the pad
+    /// sentinel, exactly the layout geometry — and returns the column
+    /// count (the longest subject).
+    SWH_HOT_PATH std::uint32_t repack_columns(const std::uint32_t* batch,
+                                              std::size_t count,
+                                              std::vector<Code>& repack) const {
+        const auto w = static_cast<std::size_t>(cohorts_.lanes);
+        std::uint32_t columns = 0;
+        for (std::size_t i = 0; i < count; ++i) {
+            columns = std::max(columns, subjects_.lengths[batch[i]]);
+        }
+        // NOLINTNEXTLINE(swh-no-alloc-in-hot-path): repack scratch is
+        // caller-retained; it grows to the largest batch once.
+        repack.assign(std::size_t{columns} * w, InterseqProfile::kPadCode);
+        for (std::size_t i = 0; i < count; ++i) {
+            const std::span<const Code> s = subjects_.subject(batch[i]);
+            for (std::size_t j = 0; j < s.size(); ++j) {
+                repack[j * w + i] = s[j];
+            }
+        }
+        return columns;
+    }
+
+    /// Re-packs batched funnel survivors into dense scratch cohorts and
+    /// scores them with the inter-sequence u8 kernel, one length group
+    /// (for_each_length_group) at a time — claims arrive primed-first,
+    /// so survivor lengths are mixed. Without `force`, only full-width
+    /// groups run (a blocked cliff group waits for more survivors);
+    /// with `force`, every group is settled — inter-sequence when its
+    /// full-width fill still meets the dispatch bar, striped per
+    /// subject otherwise (long isolated survivors run near striped
+    /// peak anyway). Overflowed lanes join `overflow` for the
+    /// wide-rescore stages.
+    template <class EmitFn>
+    SWH_HOT_PATH bool flush_repack(std::vector<std::uint32_t>& pending,
+                                   bool force,
+                      ScanScratch& scratch, std::vector<Code>& repack,
+                      EmitFn&& emit, std::vector<std::uint32_t>& overflow,
+                      WorkerTallies& t) {
+        const auto w = static_cast<std::size_t>(cohorts_.lanes);
+        const std::uint64_t bar =
+            min_fill_pct(aligner_->interseq()->query_len);
+        std::size_t kept = 0;
+        const bool keep = for_each_length_group(
+            pending, [&](std::size_t at, std::size_t end,
+                         std::uint64_t columns, std::uint64_t residues) {
+                const std::size_t count = end - at;
+                if (!force && count < w) {
+                    // Blocked cliff group: keep it pending for later
+                    // survivors (order is restored by the next flush's
+                    // sort).
+                    for (std::size_t i = at; i < end; ++i) {
+                        pending[kept++] = pending[i];
+                    }
+                    return true;
+                }
+                if (residues * 100 >= columns * w * bar) {
+                    return repack_batch(pending.data() + at, count, scratch,
+                                        repack, emit, overflow, t);
+                }
+                bool ok = true;
+                for (std::size_t i = at; i < end && ok; ++i) {
+                    ok = score_striped(pending[i], scratch, emit, overflow,
+                                       t);
+                }
+                return ok;
+            });
         // On cancellation (keep == false) the worker is aborting: the
         // un-flushed tail is abandoned like any other unclaimed work.
         // NOLINTNEXTLINE(swh-no-alloc-in-hot-path): shrinks only.
@@ -866,20 +874,7 @@ private:
                                    std::vector<Code>& repack, EmitFn&& emit,
                                    std::vector<std::uint32_t>& overflow,
                                    WorkerTallies& t) {
-        const auto w = static_cast<std::size_t>(cohorts_.lanes);
-        std::uint32_t columns = 0;
-        for (std::size_t i = 0; i < count; ++i) {
-            columns = std::max(columns, subjects_.lengths[batch[i]]);
-        }
-        // NOLINTNEXTLINE(swh-no-alloc-in-hot-path): repack scratch is
-        // caller-retained; it grows to the largest batch once.
-        repack.assign(std::size_t{columns} * w, InterseqProfile::kPadCode);
-        for (std::size_t i = 0; i < count; ++i) {
-            const std::span<const Code> s = subjects_.subject(batch[i]);
-            for (std::size_t j = 0; j < s.size(); ++j) {
-                repack[j * w + i] = s[j];
-            }
-        }
+        const std::uint32_t columns = repack_columns(batch, count, repack);
         ++t.repacks;
         ++t.cohorts_interseq;
         std::uint8_t lane_best[64];
@@ -904,8 +899,7 @@ private:
     }
 
     /// Stage-3 drain of this worker's deferred u8-overflow batch,
-    /// batched: the subjects are length-sorted, cliff-split with the
-    /// same greedy fill rule as flush_repack, and every group of
+    /// grouped by length (for_each_length_group): every group of
     /// kEscalateBatchMin+ is settled by ONE dense i16 inter-sequence
     /// pass (escalate_batch) instead of per-subject striped rescores
     /// — a serial drain of a homolog family re-streams the wide
@@ -916,43 +910,23 @@ private:
     SWH_HOT_PATH bool drain_overflow(std::vector<std::uint32_t>& overflow,
                         ScanScratch& scratch, std::vector<Code>& repack,
                         EmitFn&& emit, WorkerTallies& t) {
-        bool keep = true;
-        const auto w = static_cast<std::size_t>(cohorts_.lanes);
-        std::sort(overflow.begin(), overflow.end(),
-                  [this](std::uint32_t a, std::uint32_t b) {
-                      const std::uint32_t la = subjects_.lengths[a];
-                      const std::uint32_t lb = subjects_.lengths[b];
-                      return la != lb ? la > lb : a < b;
-                  });
-        for (std::size_t at = 0; keep && at < overflow.size();) {
-            const std::uint64_t columns = subjects_.lengths[overflow[at]];
-            std::uint64_t residues = columns;
-            std::size_t end = at + 1;
-            while (end < overflow.size() && end - at < w) {
-                const std::uint64_t next =
-                    residues + subjects_.lengths[overflow[end]];
-                if (next * 100 <
-                    columns * (end - at + 1) * kInterseqMinFillPct) {
-                    break;
+        const bool keep = for_each_length_group(
+            overflow, [&](std::size_t at, std::size_t end, std::uint64_t,
+                          std::uint64_t) {
+                if (end - at >= kEscalateBatchMin) {
+                    return escalate_batch(overflow.data() + at, end - at,
+                                          scratch, repack, emit, t);
                 }
-                residues = next;
-                ++end;
-            }
-            const std::size_t count = end - at;
-            if (count >= kEscalateBatchMin) {
-                keep = escalate_batch(overflow.data() + at, count, scratch,
-                                      repack, emit, t);
-            } else {
-                for (std::size_t i = at; i < end && keep; ++i) {
+                bool ok = true;
+                for (std::size_t i = at; i < end && ok; ++i) {
                     const std::uint32_t idx = overflow[i];
                     const Score s = aligner_->rescore_wide(
                         subjects_.subject(idx), scratch, /*trusted=*/true);
                     ++t.settled_wide;
-                    keep = emit(idx, subjects_.lengths[idx], s);
+                    ok = emit(idx, subjects_.lengths[idx], s);
                 }
-            }
-            at = end;
-        }
+                return ok;
+            });
         // On cancellation the worker is aborting anyway; clearing keeps
         // the run_worker fallback from double-settling on the keep path.
         overflow.clear();
@@ -972,20 +946,7 @@ private:
                                      ScanScratch& scratch,
                                      std::vector<Code>& repack, EmitFn&& emit,
                                      WorkerTallies& t) {
-        const auto w = static_cast<std::size_t>(cohorts_.lanes);
-        std::uint32_t columns = 0;
-        for (std::size_t i = 0; i < count; ++i) {
-            columns = std::max(columns, subjects_.lengths[batch[i]]);
-        }
-        // NOLINTNEXTLINE(swh-no-alloc-in-hot-path): repack scratch is
-        // caller-retained; it grows to the largest batch once.
-        repack.assign(std::size_t{columns} * w, InterseqProfile::kPadCode);
-        for (std::size_t i = 0; i < count; ++i) {
-            const std::span<const Code> s = subjects_.subject(batch[i]);
-            for (std::size_t j = 0; j < s.size(); ++j) {
-                repack[j * w + i] = s[j];
-            }
-        }
+        const std::uint32_t columns = repack_columns(batch, count, repack);
         ++t.escalations16;
         std::int16_t lane_best[64];
         const std::uint64_t ovf = sw_interseq_i16(

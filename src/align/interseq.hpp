@@ -57,9 +57,7 @@ struct CohortDesc {
     std::uint64_t offset = 0;     ///< Code offset into the cohort arena
     std::uint64_t residues = 0;   ///< real residues (sum of member lengths)
     std::uint32_t columns = 0;    ///< stored columns = longest lane span
-    /// First member. With a member table (InterleavedCohorts::members)
-    /// this indexes the table; without one it is the scan slot of lane 0
-    /// and the cohort holds one subject per lane, consecutive slots.
+    /// First member: index into InterleavedCohorts::members.
     std::uint32_t first_member = 0;
     std::uint32_t lanes_used = 0; ///< lanes [0, lanes_used) hold subjects
     /// Subjects in the cohort (member table entries); exceeds lanes_used
@@ -82,8 +80,7 @@ struct CohortDesc {
 struct InterleavedCohorts {
     const Code* arena = nullptr;
     const CohortDesc* cohorts = nullptr;
-    /// Cohort-major member table. Null = identity: every cohort holds
-    /// lanes_used subjects, lane l at scan slot first_member + l.
+    /// Cohort-major member table; required whenever count > 0.
     const CohortMember* members = nullptr;
     const SubjectStart* starts = nullptr;
     std::size_t count = 0;

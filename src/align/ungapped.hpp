@@ -99,10 +99,4 @@ SWH_HOT_PATH std::uint64_t sw_ungapped_interseq_i16(const InterseqProfile& profi
                                        std::size_t row_begin = 0,
                                        std::size_t row_end = SIZE_MAX);
 
-/// Survivor compare: bit l set iff lane_best[l] >= floor, computed with
-/// the ISA's lane-compare primitive (simd ge_mask). Only the low
-/// lanes_u8(isa) bits are meaningful.
-SWH_HOT_PATH std::uint64_t lanes_at_least(const std::uint8_t* lane_best, std::uint8_t floor,
-                             simd::IsaLevel isa);
-
 }  // namespace swh::align

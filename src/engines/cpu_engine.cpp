@@ -19,9 +19,9 @@ CpuEngine::CpuEngine(EngineConfig config, unsigned threads)
     : config_(config), threads_(threads) {
     SWH_REQUIRE(config_.matrix != nullptr, "engine needs a score matrix");
     SWH_REQUIRE(threads_ >= 1, "engine needs at least one thread");
-    SWH_REQUIRE(config_.scan_chunk >= 1, "scan chunk must be at least 1");
     SWH_REQUIRE(simd::is_supported(config_.isa),
                 "requested ISA not supported on this machine");
+    scratch_.resize(threads_);
 }
 
 core::TaskResult CpuEngine::execute(const align::Sequence& query,
@@ -53,7 +53,8 @@ core::TaskResult CpuEngine::execute(const align::Sequence& query,
     // (CAS-max) as hits accumulate. A stale (lower) read only prunes
     // less, so relaxed ordering is enough.
     std::atomic<align::Score> tau{TopK::kNoThreshold};
-    align::DatabaseScanner scanner(aligner, packed.view(), config_.scan_chunk,
+    align::DatabaseScanner scanner(aligner, packed.view(),
+                                   align::DatabaseScanner::kDefaultChunk,
                                    cohorts,
                                    config_.prefilter ? &tau : nullptr);
     // Live τ exposition for the watch dashboard: resolved once here,
@@ -77,9 +78,9 @@ core::TaskResult CpuEngine::execute(const align::Sequence& query,
     std::vector<TopK> collectors(threads_, TopK(config_.top_k));
 
     // Workers pull chunks of subjects from the scanner's shared cursor
-    // (config_.scan_chunk per atomic op) and run the funnel scan.
+    // and run the funnel scan, each through its own warm scratch.
     auto worker = [&](unsigned wid) {
-        align::ScanScratch scratch;
+        align::ScanScratch& scratch = scratch_[wid];
         std::uint64_t local_pending = 0;
         // Progress/cancellation bookkeeping shared by the emit and
         // pruned paths: pruned subjects count their cells too, so

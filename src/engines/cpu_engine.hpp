@@ -1,5 +1,8 @@
 #pragma once
 
+#include <vector>
+
+#include "align/striped.hpp"
 #include "engines/engine.hpp"
 
 namespace swh::engines {
@@ -9,10 +12,10 @@ namespace swh::engines {
 /// three-stage funnel — an ungapped prefilter prunes subjects provably
 /// outside the running top-k (EngineConfig::prefilter), the 8-bit exact
 /// kernels settle the survivors, and the deferred overflow batch is
-/// rescored at 16/32 bits. `threads` > 1 splits the database across internal worker
-/// threads claiming `EngineConfig::scan_chunk` subjects per atomic op
-/// (a whole multicore presented as one PE); the paper's setup registers
-/// each core as its own single-threaded slave.
+/// rescored at 16/32 bits. `threads` > 1 splits the database across
+/// internal worker threads claiming DatabaseScanner::kDefaultChunk
+/// subjects per atomic op (a whole multicore presented as one PE); the
+/// paper's setup registers each core as its own single-threaded slave.
 class CpuEngine final : public ComputeEngine {
 public:
     CpuEngine(EngineConfig config, unsigned threads = 1);
@@ -31,6 +34,11 @@ public:
 private:
     EngineConfig config_;
     unsigned threads_;
+    /// One scan scratch per worker, kept across tasks so a task no
+    /// larger than an earlier one allocates no kernel buffers. Safe
+    /// because execute() runs on the one slave thread that owns the
+    /// engine, never concurrently with itself.
+    std::vector<align::ScanScratch> scratch_;
 };
 
 }  // namespace swh::engines

@@ -247,6 +247,7 @@ RunReport HybridRuntime::run(std::vector<SlaveSpec> slaves,
         links.push_back(link_storage.back().get());
     }
     MasterLoopConfig master_config;
+    master_config.database_size = database_->size();
     master_config.liveness_timeout_s = options_.liveness_timeout_s;
     master_config.lossy_master_link =
         options_.master_link_faults.drop_prob > 0.0;

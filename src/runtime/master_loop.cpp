@@ -277,6 +277,23 @@ void run_master_loop(core::SchedulerCore& sched, core::ResultMerger& merger,
                     report.slaves[done->pe].cells_discarded +=
                         done->result.cells;
                     ++raced_discards;
+                } else if (const auto bad = std::find_if(
+                               done->result.hits.begin(),
+                               done->result.hits.end(),
+                               [&](const core::Hit& h) {
+                                   return h.db_index >= config.database_size;
+                               });
+                           bad != done->result.hits.end()) {
+                    // A hit naming a subject the database does not hold:
+                    // the result is corrupt, never merge it. Retried
+                    // like an engine failure, within the same budget.
+                    record_failure(done->pe, done->task,
+                                   "hit db_index " +
+                                       std::to_string(bad->db_index) +
+                                       " out of range (database holds " +
+                                       std::to_string(config.database_size) +
+                                       " subjects)",
+                                   now);
                 } else {
                     const core::SchedulerCore::CompletionResult cr =
                         sched.on_task_complete(done->pe, done->task, now);

@@ -70,6 +70,11 @@ private:
 };
 
 struct MasterLoopConfig {
+    /// Subjects in the run's database. A completion with a hit whose
+    /// db_index is not below it is never merged: it takes the engine-
+    /// failure retry path, so no peer can make the master (or a hit
+    /// table) index out of bounds.
+    std::size_t database_size = 0;
     /// 0 disables liveness — the original immortal-slave assumption.
     double liveness_timeout_s = 0.0;
     /// Enables lost-completion recovery on serve (only needed when the

@@ -225,6 +225,7 @@ RunReport RemoteMaster::run(std::unique_ptr<core::AllocationPolicy> policy) {
     Timer clock;
     RunReport report;
     MasterLoopConfig config;
+    config.database_size = database_->size();
     config.liveness_timeout_s = rt.liveness_timeout_s;
     config.lossy_master_link = rt.master_link_faults.drop_prob > 0.0;
     config.max_task_retries = rt.max_task_retries;

@@ -60,13 +60,6 @@ struct U8x32 {
         return _mm256_movemask_epi8(eq0) != -1;
     }
 
-    friend std::uint64_t ge_mask(U8x32 a, U8x32 b) {
-        // Unsigned "a >= b" == max(a, b) == a, lane-wise.
-        const __m256i eq = _mm256_cmpeq_epi8(_mm256_max_epu8(a.v, b.v), a.v);
-        return static_cast<std::uint64_t>(
-            static_cast<unsigned>(_mm256_movemask_epi8(eq)));
-    }
-
     friend U8x32 zero_lanes(U8x32 a, std::uint64_t lanes) {
         // Byte l of `spread` holds mask byte l/8; testing it against
         // bit l%8 turns the mask into a byte-per-lane select.

@@ -60,10 +60,6 @@ struct U8x64 {
         return _mm512_cmpgt_epu8_mask(a.v, b.v) != 0;
     }
 
-    friend std::uint64_t ge_mask(U8x64 a, U8x64 b) {
-        return _mm512_cmpge_epu8_mask(a.v, b.v);
-    }
-
     friend U8x64 zero_lanes(U8x64 a, std::uint64_t lanes) {
         return {_mm512_maskz_mov_epi8(~lanes, a.v)};
     }

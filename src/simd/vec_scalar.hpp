@@ -28,9 +28,6 @@ namespace swh::simd {
 //                           (every index lane must be < 32)
 //   widen_lo(a) / widen_hi(a) -- zero-extend the low/high half of the
 //                           lanes to an i16 vector, preserving lane order
-//   ge_mask(a,b) -- bit l set iff a >= b (unsigned) in lane l; the
-//                   horizontal compare the scan prefilter uses to turn
-//                   per-lane score bounds into a survivor mask
 //   zero_lanes(a,m) -- a with every lane l whose bit is set in m cleared
 //                   to 0; the inter-sequence kernel's lane refill
 
@@ -92,15 +89,6 @@ struct U8xN {
         for (int i = 0; i < N; ++i)
             if (a.lane[i] > b.lane[i]) return true;
         return false;
-    }
-
-    friend std::uint64_t ge_mask(U8xN a, U8xN b) {
-        static_assert(N <= 64, "mask is 64 bits wide");
-        std::uint64_t m = 0;
-        for (int i = 0; i < N; ++i) {
-            if (a.lane[i] >= b.lane[i]) m |= std::uint64_t{1} << i;
-        }
-        return m;
     }
 
     friend U8xN zero_lanes(U8xN a, std::uint64_t lanes) {

@@ -46,13 +46,6 @@ struct U8x16 {
         return _mm_movemask_epi8(eq0) != 0xFFFF;
     }
 
-    friend std::uint64_t ge_mask(U8x16 a, U8x16 b) {
-        // Unsigned "a >= b" == max(a, b) == a, lane-wise.
-        const __m128i eq = _mm_cmpeq_epi8(_mm_max_epu8(a.v, b.v), a.v);
-        return static_cast<std::uint64_t>(
-            static_cast<unsigned>(_mm_movemask_epi8(eq)));
-    }
-
     friend U8x16 zero_lanes(U8x16 a, std::uint64_t lanes) {
         // Byte l of `spread` holds mask byte l/8; testing it against
         // bit l%8 turns the mask into a byte-per-lane select.

@@ -7,7 +7,7 @@
 /// IPDPSW 2013). The usual entry points:
 ///
 ///  * pairwise scoring/alignment   — align/ (StripedAligner,
-///    sw_score_affine, sw_align_affine_lowmem, nw_align_affine_linear)
+///    sw_score_affine, sw_align_affine_lowmem, nw_align_affine)
 ///  * sequence I/O                 — io/ (FASTA + the indexed format)
 ///  * synthetic data               — db/ (generator, Table II presets)
 ///  * hit statistics               — align/evalue.hpp
@@ -20,10 +20,8 @@
 
 #include "align/alignment.hpp"      // IWYU pragma: export
 #include "align/alphabet.hpp"       // IWYU pragma: export
-#include "align/banded.hpp"         // IWYU pragma: export
 #include "align/evalue.hpp"         // IWYU pragma: export
 #include "align/local_align.hpp"    // IWYU pragma: export
-#include "align/myers_miller.hpp"   // IWYU pragma: export
 #include "align/overlap.hpp"        // IWYU pragma: export
 #include "align/score_matrix.hpp"   // IWYU pragma: export
 #include "align/sequence.hpp"       // IWYU pragma: export
@@ -38,7 +36,6 @@
 #include "db/database.hpp"          // IWYU pragma: export
 #include "db/presets.hpp"           // IWYU pragma: export
 #include "engines/cpu_engine.hpp"   // IWYU pragma: export
-#include "engines/fpga_engine.hpp"  // IWYU pragma: export
 #include "engines/sim_gpu_engine.hpp"   // IWYU pragma: export
 #include "engines/throttled_engine.hpp" // IWYU pragma: export
 #include "io/fasta.hpp"             // IWYU pragma: export

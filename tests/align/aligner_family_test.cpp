@@ -3,17 +3,13 @@
 // any input pair:
 //
 //   local (SW)  >=  overlap (dovetail)  >=  global (NW)
-//   local       >=  banded local        (band restricts paths)
 //   local       ==  striped == lowmem == full traceback
-//   global      ==  Myers-Miller linear space
 //
 // Violations of any of these caught real bugs during development.
 
 #include <gtest/gtest.h>
 
-#include "align/banded.hpp"
 #include "align/local_align.hpp"
-#include "align/myers_miller.hpp"
 #include "align/overlap.hpp"
 #include "align/striped.hpp"
 #include "align/sw_scalar.hpp"
@@ -73,9 +69,6 @@ TEST_P(AlignerFamilyTest, ScoreHierarchyHolds) {
         // Each model is a restriction of the one above it.
         EXPECT_GE(local, over);
         EXPECT_GE(over, global);
-
-        // Band restricts the local search space.
-        EXPECT_GE(local, sw_score_banded(p.a, p.b, m, gap, 0, 3));
     }
 }
 
@@ -90,12 +83,6 @@ TEST_P(AlignerFamilyTest, EquivalentImplementationsAgree) {
 
         EXPECT_EQ(sw_align_affine(p.a, p.b, m, gap).score, local);
         EXPECT_EQ(sw_align_affine_lowmem(p.a, p.b, m, gap).score, local);
-        EXPECT_EQ(sw_score_banded(p.a, p.b, m, gap, 0,
-                                  full_band_width(p.a.size(), p.b.size())),
-                  local);
-
-        const Score global = nw_align_affine(p.a, p.b, m, gap).score;
-        EXPECT_EQ(nw_align_affine_linear(p.a, p.b, m, gap).score, global);
     }
 }
 

@@ -142,27 +142,36 @@ void expect_same_hits(const std::vector<core::Hit>& got,
 TEST(DatabaseScannerFunnel, TopKBitIdenticalAcrossIsaLevelsAndK) {
     // Planted-family database: background noise plus homologs of the
     // query, the shape the funnel is built for — the family feeds the
-    // threshold and the background gets pruned.
-    const db::ScanSample sample = db::make_scan_sample(300, {100});
+    // threshold and the background gets pruned. Query lengths
+    // kFilterChunkRows and one past it put the prefilter at its tile
+    // boundary: one bound tile, then the first two-tile sum.
     std::uint64_t total_pruned = 0;
-    for (const simd::IsaLevel isa : supported_levels()) {
-        const StripedAligner aligner(sample.queries[0].residues, blosum(),
-                                     kGap, isa);
-        for (const std::size_t k : {std::size_t{1}, std::size_t{10},
-                                    std::size_t{100}}) {
-            const std::vector<core::Hit> want =
-                exhaustive_topk(aligner, sample.database, k);
-            ASSERT_EQ(want.size(), k);
-            const FunnelRun run = funnel_topk(aligner, sample.database, k);
-            expect_same_hits(run.hits, want,
-                             "isa=" + std::string(simd::to_string(isa)) +
-                                 " k=" + std::to_string(k));
-            // Accounting: every subject is either settled or reported
-            // pruned, exactly once.
-            EXPECT_EQ(run.emitted + run.pruned_calls,
-                      sample.database.size());
-            EXPECT_EQ(run.pruned_calls, run.filter.subjects_pruned);
-            total_pruned += run.filter.subjects_pruned;
+    for (const std::size_t qlen :
+         {std::size_t{100}, DatabaseScanner::kFilterChunkRows,
+          DatabaseScanner::kFilterChunkRows + 1}) {
+        const db::ScanSample sample = db::make_scan_sample(300, {qlen});
+        for (const simd::IsaLevel isa : supported_levels()) {
+            const StripedAligner aligner(sample.queries[0].residues,
+                                         blosum(), kGap, isa);
+            for (const std::size_t k : {std::size_t{1}, std::size_t{10},
+                                        std::size_t{100}}) {
+                const std::vector<core::Hit> want =
+                    exhaustive_topk(aligner, sample.database, k);
+                ASSERT_EQ(want.size(), k);
+                const FunnelRun run =
+                    funnel_topk(aligner, sample.database, k);
+                expect_same_hits(
+                    run.hits, want,
+                    "qlen=" + std::to_string(qlen) +
+                        " isa=" + std::string(simd::to_string(isa)) +
+                        " k=" + std::to_string(k));
+                // Accounting: every subject is either settled or
+                // reported pruned, exactly once.
+                EXPECT_EQ(run.emitted + run.pruned_calls,
+                          sample.database.size());
+                EXPECT_EQ(run.pruned_calls, run.filter.subjects_pruned);
+                total_pruned += run.filter.subjects_pruned;
+            }
         }
     }
     // The funnel must actually funnel on this workload, not just match.

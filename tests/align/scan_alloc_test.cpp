@@ -2,7 +2,8 @@
 // replaces the global allocation functions with counting versions
 // (which is why it is its own test target): once a worker's ScanScratch
 // has warmed up to the largest subject, StripedAligner::score() and the
-// DatabaseScanner two-pass loop must not touch the heap at all.
+// DatabaseScanner two-pass loop must not touch the heap at all, and a
+// CpuEngine's second task must not allocate kernel buffers again.
 
 #include <gtest/gtest.h>
 
@@ -16,12 +17,16 @@
 #include "db/database.hpp"
 #include "db/packed.hpp"
 #include "db/presets.hpp"
+#include "engines/cpu_engine.hpp"
 #include "engines/topk.hpp"
 #include "util/rng.hpp"
 
 namespace {
 
 std::atomic<std::uint64_t> g_allocs{0};
+/// Over-aligned allocations only: ScanScratch's kernel buffers and the
+/// packed database arenas are the program's only ones.
+std::atomic<std::uint64_t> g_aligned_allocs{0};
 
 void* counted_alloc(std::size_t size, std::size_t align) {
     g_allocs.fetch_add(1, std::memory_order_relaxed);
@@ -38,9 +43,11 @@ void* counted_alloc(std::size_t size, std::size_t align) {
 void* operator new(std::size_t size) { return counted_alloc(size, 16); }
 void* operator new[](std::size_t size) { return counted_alloc(size, 16); }
 void* operator new(std::size_t size, std::align_val_t align) {
+    g_aligned_allocs.fetch_add(1, std::memory_order_relaxed);
     return counted_alloc(size, static_cast<std::size_t>(align));
 }
 void* operator new[](std::size_t size, std::align_val_t align) {
+    g_aligned_allocs.fetch_add(1, std::memory_order_relaxed);
     return counted_alloc(size, static_cast<std::size_t>(align));
 }
 void operator delete(void* p) noexcept { std::free(p); }
@@ -216,6 +223,35 @@ TEST(ScanAllocation, EnginePathIsAllocationFreeAfterWarmup) {
                 << "engine scan path allocated in steady state, " << label;
         }
     }
+}
+
+TEST(ScanAllocation, EngineKeepsWorkerScratchAcrossTasks) {
+    // CpuEngine keeps one ScanScratch per worker across tasks: once the
+    // first task has grown it (and built the database's packed arena
+    // and cohort layout, both cached), a second task of the same shape
+    // makes no over-aligned allocation — no kernel buffer, column carry
+    // or per-subject result buffer. The query spans several kernel
+    // tiles so the column carry is in play; one worker and no
+    // prefilter keep the two tasks' scan paths identical.
+    const db::Database database = streamed_test_db();
+    Rng rng(57);
+    const Sequence q = db::random_protein(rng, 2 * kInterseqTileRows + 1, "q");
+    const ScoreMatrix matrix = ScoreMatrix::blosum62();
+    engines::EngineConfig config;
+    config.matrix = &matrix;
+    config.gap = {10, 2};
+    config.isa = simd::best_supported();
+    config.prefilter = false;
+    engines::CpuEngine engine(config);
+
+    const std::uint64_t cold = g_aligned_allocs.load();
+    const core::TaskResult first = engine.execute(q, 0, 0, database, nullptr);
+    const std::uint64_t warm = g_aligned_allocs.load();
+    const core::TaskResult second = engine.execute(q, 0, 1, database, nullptr);
+    const std::uint64_t after = g_aligned_allocs.load();
+    EXPECT_GT(warm, cold) << "first task built no scratch or layout";
+    EXPECT_EQ(after, warm) << "second task re-allocated kernel buffers";
+    EXPECT_EQ(second.hits, first.hits);
 }
 
 }  // namespace

@@ -276,26 +276,6 @@ TEST(UngappedKernels, BoundDominatesStripedExactPerLane) {
     }
 }
 
-TEST(UngappedKernels, LanesAtLeastMatchesScalarComparison) {
-    for (const simd::IsaLevel isa : supported_levels()) {
-        const int W = lanes_u8(isa);
-        std::uint8_t vals[64] = {};
-        Rng rng(233);
-        for (int l = 0; l < W; ++l) {
-            vals[l] = static_cast<std::uint8_t>(rng.below(256));
-        }
-        for (const std::uint8_t floor :
-             {std::uint8_t{0}, std::uint8_t{1}, vals[0], std::uint8_t{255}}) {
-            const std::uint64_t mask = lanes_at_least(vals, floor, isa);
-            for (int l = 0; l < W; ++l) {
-                EXPECT_EQ(((mask >> l) & 1) != 0, vals[l] >= floor)
-                    << "isa=" << simd::to_string(isa) << " lane=" << l
-                    << " floor=" << int{floor};
-            }
-        }
-    }
-}
-
 TEST(UngappedKernels, EmptyQueryAndEmptyCohortAreClean) {
     ScanScratch scratch;
     std::uint8_t bound8[64];

@@ -199,6 +199,65 @@ TEST(FaultTolerance, RetryExhaustionSurfacesFailedTasksWithoutAborting) {
     EXPECT_EQ(total_accepted(report), 0u);
 }
 
+/// Rewrites the best hit of the inner engine's first `bad_results`
+/// results to name the subject one past the database's end, as a buggy
+/// or hostile peer could.
+class OutOfRangeHitEngine final : public engines::ComputeEngine {
+public:
+    OutOfRangeHitEngine(std::unique_ptr<engines::ComputeEngine> inner,
+                        std::size_t bad_results)
+        : inner_(std::move(inner)), bad_left_(bad_results) {}
+
+    std::string_view name() const override { return "out-of-range-hit"; }
+    core::PeKind kind() const override { return inner_->kind(); }
+
+    core::TaskResult execute(const align::Sequence& query,
+                             std::uint32_t query_index, core::TaskId task,
+                             const db::Database& database,
+                             engines::ExecutionObserver* observer) override {
+        core::TaskResult r =
+            inner_->execute(query, query_index, task, database, observer);
+        if (bad_left_ > 0 && !r.hits.empty()) {
+            r.hits.front().db_index =
+                static_cast<std::uint32_t>(database.size());
+            --bad_left_;
+        }
+        return r;
+    }
+
+private:
+    std::unique_ptr<engines::ComputeEngine> inner_;
+    std::size_t bad_left_;
+};
+
+TEST(FaultTolerance, OutOfRangeHitIndexIsRejectedAndRetried) {
+    // A completion naming a subject past the database's end must never
+    // be merged (the hit table would index out of bounds): the master
+    // rejects it, counts it as a task failure and retries the task.
+    const db::Database database = test_db();
+    const auto queries = test_queries(4);
+    RuntimeOptions options;
+    options.notify_period_s = 0.01;
+    options.top_k = 3;
+    options.retry_backoff_s = 0.001;
+    HybridRuntime rt(database, queries, options);
+
+    std::vector<SlaveSpec> slaves;
+    slaves.push_back(SlaveSpec{
+        "liar0", std::make_unique<OutOfRangeHitEngine>(cpu_engine(), 2)});
+    const RunReport report =
+        rt.run(std::move(slaves), core::make_self_scheduling());
+
+    EXPECT_EQ(report.hits, reference_hits(database, queries, 3));
+    for (const auto& hits : report.hits) {
+        for (const core::Hit& h : hits) EXPECT_LT(h.db_index, database.size());
+    }
+    EXPECT_TRUE(report.failed_tasks.empty());
+    EXPECT_EQ(report.task_failures, 2u);
+    EXPECT_EQ(report.slaves[0].engine_failures, 2u);
+    EXPECT_EQ(total_accepted(report), queries.size());
+}
+
 TEST(FaultTolerance, StalledSlaveIsDeclaredDeadAndWorkRescued) {
     // A permanently wedged engine never sends anything again. The
     // liveness timeout must reclaim its task; closing its inbox is the

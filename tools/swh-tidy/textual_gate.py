@@ -12,7 +12,10 @@ coarse regressions:
      (shadow of the swh-no-alloc-in-hot-path annotation contract — the
      annotations must not silently disappear in a refactor);
   3. every Msg* struct declared in src/net/messages.hpp is mentioned in
-     the runtime dispatcher (coarse shadow of swh-msg-visitor-exhaustive).
+     the runtime dispatcher (coarse shadow of swh-msg-visitor-exhaustive);
+  4. no orphan headers: every src/**/*.hpp is included by some program
+     source other than its own .cpp and the src/swhybrid.hpp umbrella
+     (a module only its own test reaches is dead code).
 
 Run from anywhere: the repo root is located relative to this file.
 Exit 0 = clean, 1 = violation, 2 = repo layout changed under the gate.
@@ -41,7 +44,7 @@ HOT_PATH_FLOORS = {
     os.path.join("src", "align", "ungapped_kernels.hpp"): 2,
     os.path.join("src", "align", "striped.hpp"): 6,
     os.path.join("src", "align", "interseq.hpp"): 2,
-    os.path.join("src", "align", "ungapped.hpp"): 3,
+    os.path.join("src", "align", "ungapped.hpp"): 2,
     os.path.join("src", "align", "db_scan.hpp"): 11,
     os.path.join("src", "engines", "topk.hpp"): 3,
 }
@@ -59,14 +62,20 @@ DISPATCHER_CPPS = [
 CODEC_CPP = os.path.join("src", "net", "wire.cpp")
 MSG_STRUCT_RE = re.compile(r"^struct\s+(Msg\w+)\b", re.MULTILINE)
 
+# Program sources whose includes keep a src/ header alive. Tests do not
+# count: a module only its own test reaches has no caller.
+INCLUDER_DIRS = ["src", "examples", "bench", "bench_e2e", "fuzz"]
+UMBRELLA_HPP = os.path.join("src", "swhybrid.hpp")
+INCLUDE_RE = re.compile(r'^\s*#\s*include\s+"([^"]+)"', re.MULTILINE)
+
 
 def read(relpath):
     with open(os.path.join(REPO_ROOT, relpath), encoding="utf-8") as f:
         return f.read()
 
 
-def iter_source_files():
-    for dirpath, _dirnames, filenames in os.walk(os.path.join(REPO_ROOT, "src")):
+def iter_source_files(top="src"):
+    for dirpath, _dirnames, filenames in os.walk(os.path.join(REPO_ROOT, top)):
         for name in filenames:
             if name.endswith((".hpp", ".cpp", ".h", ".cc")):
                 yield os.path.relpath(os.path.join(dirpath, name), REPO_ROOT)
@@ -130,6 +139,35 @@ def check_msg_coverage(problems):
             )
 
 
+def check_orphan_headers(problems):
+    src = os.path.join(REPO_ROOT, "src")
+    included = {}  # header (repo-relative) -> set of including files
+    for top in INCLUDER_DIRS:
+        for rel in iter_source_files(top):
+            here = os.path.dirname(os.path.join(REPO_ROOT, rel))
+            for name in INCLUDE_RE.findall(read(rel)):
+                # Quoted includes resolve against the including file's
+                # directory first, then the src/ include root.
+                for base in (here, src):
+                    path = os.path.normpath(os.path.join(base, name))
+                    if os.path.isfile(path):
+                        target = os.path.relpath(path, REPO_ROOT)
+                        included.setdefault(target, set()).add(rel)
+                        break
+    for rel in sorted(iter_source_files()):
+        if not rel.endswith(".hpp") or rel == UMBRELLA_HPP:
+            continue
+        own_cpp = rel[: -len(".hpp")] + ".cpp"
+        users = included.get(rel, set()) - {own_cpp, UMBRELLA_HPP}
+        if not users:
+            problems.append(
+                f"{rel}: orphan header; nothing under "
+                f"{', '.join(d + '/' for d in INCLUDER_DIRS)} includes it "
+                "but its own .cpp and the umbrella header. Delete the "
+                "module or give it a caller [orphan module]"
+            )
+
+
 def main():
     for rel in [MESSAGES_HPP, CODEC_CPP] + DISPATCHER_CPPS:
         if not os.path.isfile(os.path.join(REPO_ROOT, rel)):
@@ -139,12 +177,16 @@ def main():
     check_raw_sync(problems)
     check_hot_path_floors(problems)
     check_msg_coverage(problems)
+    check_orphan_headers(problems)
     if problems:
         print(f"textual_gate: {len(problems)} violation(s)", file=sys.stderr)
         for p in problems:
             print(f"  {p}", file=sys.stderr)
         return 1
-    print("textual_gate: clean (raw-sync, hot-path floors, msg coverage)")
+    print(
+        "textual_gate: clean (raw-sync, hot-path floors, msg coverage, "
+        "orphan headers)"
+    )
     return 0
 
 
