@@ -15,8 +15,9 @@
 // to the exhaustive scan's before anything is timed — a mismatch is a
 // fatal error. Emits machine-readable BENCH_scan.json for the perf
 // trajectory alongside a human table; kernel dispatch and filter
-// counts are routed through obs::MetricsRegistry and included in the
-// JSON.
+// counts of both scored passes are routed through
+// obs::MetricsRegistry under CpuEngine's metric names
+// (engines::export_scan_stats) and included in the JSON.
 //
 // --family-size sets the planted family per query length: the default
 // 12 exceeds k, so the threshold sits at homolog level; with one member
@@ -41,6 +42,7 @@
 #include "db/database.hpp"
 #include "db/packed.hpp"
 #include "db/presets.hpp"
+#include "engines/cpu_engine.hpp"
 #include "engines/topk.hpp"
 #include "obs/metrics.hpp"
 #include "simd/simd.hpp"
@@ -64,7 +66,7 @@ align::Score run_scan(const align::StripedAligner& aligner,
                       const db::PackedDatabase& packed,
                       align::ScanScratch& scratch,
                       align::InterleavedCohorts cohorts,
-                      align::DatabaseScanner::DispatchStats* stats = nullptr) {
+                      align::ScanStats* stats = nullptr) {
     align::DatabaseScanner scanner(aligner, packed.view(),
                                    align::DatabaseScanner::kDefaultChunk,
                                    cohorts);
@@ -74,7 +76,7 @@ align::Score run_scan(const align::StripedAligner& aligner,
                            best = std::max(best, s);
                            return true;
                        });
-    if (stats != nullptr) *stats = scanner.dispatch_stats();
+    if (stats != nullptr) *stats = scanner.stats();
     return best;
 }
 
@@ -82,8 +84,7 @@ align::Score run_scan(const align::StripedAligner& aligner,
 /// wired to the collector's running k-th best, i.e. the full funnel.
 struct TopKOutcome {
     std::vector<core::Hit> hits;
-    align::DatabaseScanner::DispatchStats dispatch;
-    align::DatabaseScanner::FilterStats filter;
+    align::ScanStats stats;
 };
 
 TopKOutcome run_topk(const align::StripedAligner& aligner,
@@ -106,8 +107,7 @@ TopKOutcome run_topk(const align::StripedAligner& aligner,
         [](std::uint32_t, std::uint32_t) { return true; });
     TopKOutcome out;
     out.hits = collector.take();
-    out.dispatch = scanner.dispatch_stats();
-    out.filter = scanner.filter_stats();
+    out.stats = scanner.stats();
     return out;
 }
 
@@ -151,11 +151,10 @@ struct Row {
     double exact_gcups = 0.0;
     double funnel_gcups = 0.0;
     double funnel_speedup = 0.0;
-    align::DatabaseScanner::DispatchStats dispatch;
-    /// Dispatch of the armed (funnel) pass — the one that exercises
-    /// the survivor re-pack; `dispatch` above is the unarmed scan.
-    align::DatabaseScanner::DispatchStats funnel_dispatch;
-    align::DatabaseScanner::FilterStats filter;
+    align::ScanStats exhaustive;  ///< the unarmed scan
+    /// The armed (funnel) pass — the one that runs the prefilter and
+    /// exercises the survivor re-pack.
+    align::ScanStats funnel;
 };
 
 }  // namespace
@@ -257,7 +256,7 @@ int main(int argc, char** argv) {
         row.qlen = qlen;
         row.tile_count = align::interseq_tile_count(q.residues.size());
         const align::Score interseq_best =
-            run_scan(aligner, packed, scratch, cohorts, &row.dispatch);
+            run_scan(aligner, packed, scratch, cohorts, &row.exhaustive);
         if (packed_best != interseq_best) {
             std::cerr << "FATAL: score mismatch (packed=" << packed_best
                       << " interseq=" << interseq_best << ")\n";
@@ -280,13 +279,12 @@ int main(int argc, char** argv) {
                 return 1;
             }
         }
-        row.filter = funnel.filter;
-        row.funnel_dispatch = funnel.dispatch;
+        row.funnel = funnel.stats;
         row.filter_selectivity =
             database.size() == 0
                 ? 1.0
                 : static_cast<double>(database.size() -
-                                      funnel.filter.subjects_pruned) /
+                                      funnel.stats.subjects_pruned) /
                       static_cast<double>(database.size());
 
         double packed_best_s = 1e30;
@@ -322,30 +320,10 @@ int main(int argc, char** argv) {
         row.funnel_gcups = cells / funnel_best_s / 1e9;
         row.funnel_speedup = row.funnel_gcups / row.exact_gcups;
         rows.push_back(row);
-        // Route breakdown (scan.dispatch.*): why each cohort took its
-        // path — interseq (streamed a subset), or striped-head — so
-        // coverage regressions show up without re-benchmarking.
-        metrics.counter("scan.dispatch.cohorts_interseq")
-            .add(row.dispatch.cohorts_interseq);
-        metrics.counter("scan.dispatch.cohorts_streamed")
-            .add(row.dispatch.cohorts_streamed);
-        metrics.counter("scan.dispatch.cohorts_striped_head")
-            .add(row.dispatch.cohorts_striped);
-        metrics.counter("scan.dispatch.repacks")
-            .add(row.dispatch.repacks + row.funnel_dispatch.repacks);
-        metrics.counter("scan.dispatch.escalations16")
-            .add(row.dispatch.escalations16 +
-                 row.funnel_dispatch.escalations16);
-        metrics.counter("scan.dispatch.subjects_interseq")
-            .add(row.dispatch.subjects_interseq);
-        metrics.counter("scan.dispatch.subjects_striped")
-            .add(row.dispatch.subjects_striped);
-        metrics.counter("scan.filter.cohorts")
-            .add(row.filter.cohorts_filtered);
-        metrics.counter("scan.filter.rebounds16").add(row.filter.rebounds16);
-        metrics.counter("scan.filter.pruned")
-            .add(row.filter.subjects_pruned);
-        metrics.counter("scan.filter.offs").add(row.filter.filter_offs);
+        // Both scored passes under CpuEngine's metric names, so the
+        // block reads like a search run's counters.
+        engines::export_scan_stats(row.exhaustive, metrics);
+        engines::export_scan_stats(row.funnel, metrics);
         std::cout << format_double(static_cast<double>(qlen), 0) << "    "
                   << format_double(row.packed_gcups, 3) << "    "
                   << format_double(row.exact_gcups, 3) << "    "
@@ -448,28 +426,27 @@ int main(int argc, char** argv) {
             << ", \"exact_gcups\": " << format_double(r.exact_gcups, 4)
             << ", \"funnel_gcups\": " << format_double(r.funnel_gcups, 4)
             << ", \"funnel_speedup\": " << format_double(r.funnel_speedup, 4)
-            << ", \"subjects_pruned\": " << r.filter.subjects_pruned
-            << ", \"filter_rebounds16\": " << r.filter.rebounds16
-            << ", \"filter_offs\": " << r.filter.filter_offs
-            << ", \"cohorts_filtered\": " << r.filter.cohorts_filtered
+            << ", \"subjects_pruned\": " << r.funnel.subjects_pruned
+            << ", \"filter_offs\": " << r.funnel.filter_offs
+            << ", \"cohorts_filtered\": " << r.funnel.cohorts_filtered
             << ", \"tile_count\": " << r.tile_count
-            << ", \"cohorts_interseq\": " << r.dispatch.cohorts_interseq
-            << ", \"cohorts_streamed\": " << r.dispatch.cohorts_streamed
-            << ", \"cohorts_striped\": " << r.dispatch.cohorts_striped
-            << ", \"repacks\": " << r.dispatch.repacks
+            << ", \"cohorts_interseq\": " << r.exhaustive.cohorts_interseq
+            << ", \"cohorts_streamed\": " << r.exhaustive.cohorts_streamed
+            << ", \"cohorts_striped\": " << r.exhaustive.cohorts_striped
+            << ", \"repacks\": " << r.exhaustive.repacks
             << ", \"escalations16\": "
-            << r.dispatch.escalations16 + r.funnel_dispatch.escalations16
-            << ", \"subjects_interseq\": " << r.dispatch.subjects_interseq
-            << ", \"subjects_striped\": " << r.dispatch.subjects_striped
-            << ", \"funnel_repacks\": " << r.funnel_dispatch.repacks
+            << r.exhaustive.escalations16 + r.funnel.escalations16
+            << ", \"subjects_interseq\": " << r.exhaustive.subjects_interseq
+            << ", \"subjects_striped\": " << r.exhaustive.subjects_striped
+            << ", \"funnel_repacks\": " << r.funnel.repacks
             << ", \"funnel_escalations16\": "
-            << r.funnel_dispatch.escalations16
+            << r.funnel.escalations16
             << ", \"funnel_cohorts_interseq\": "
-            << r.funnel_dispatch.cohorts_interseq
+            << r.funnel.cohorts_interseq
             << ", \"funnel_subjects_interseq\": "
-            << r.funnel_dispatch.subjects_interseq
+            << r.funnel.subjects_interseq
             << ", \"funnel_subjects_striped\": "
-            << r.funnel_dispatch.subjects_striped
+            << r.funnel.subjects_striped
             << "}" << (i + 1 < rows.size() ? "," : "") << "\n";
     }
     out << "  ],\n"

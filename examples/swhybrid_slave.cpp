@@ -4,8 +4,7 @@
 // master pushed, and runs the exact slave loop the threaded runtime
 // uses, over the wire protocol.
 //
-//   swhybrid_search queries.fa db.fa --transport=socket --port 4455 \
-//       --expect-slaves 2 &
+//   swhybrid_search queries.fa db.fa --transport=socket --port 4455 --expect-slaves 2 &
 //   swhybrid_slave queries.fa db.fa --port 4455 --label sse0 &
 //   swhybrid_slave queries.fa db.fa --port 4455 --label gpu0 --kind gpu
 //

@@ -107,68 +107,21 @@ DatabaseScanner::DatabaseScanner(const StripedAligner& aligner,
     }
 }
 
-void DatabaseScanner::credit_dispatch(const WorkerTallies& t) {
-    if (t.cohorts_filtered > 0) {
-        cohorts_filtered_.fetch_add(t.cohorts_filtered,
-                                    std::memory_order_relaxed);
-    }
-    if (t.rebounds16 > 0) {
-        rebounds16_.fetch_add(t.rebounds16, std::memory_order_relaxed);
-    }
-    if (t.pruned > 0) {
-        subjects_pruned_.fetch_add(t.pruned, std::memory_order_relaxed);
-    }
-    if (t.filter_offs > 0) {
-        filter_offs_.fetch_add(t.filter_offs, std::memory_order_relaxed);
-    }
-    if (t.lanes_filtered > 0) {
-        lanes_filtered_.fetch_add(t.lanes_filtered, std::memory_order_relaxed);
-    }
-    if (t.cohorts_interseq > 0) {
-        cohorts_interseq_.fetch_add(t.cohorts_interseq,
-                                    std::memory_order_relaxed);
-    }
-    if (t.cohorts_streamed > 0) {
-        cohorts_streamed_.fetch_add(t.cohorts_streamed,
-                                    std::memory_order_relaxed);
-    }
-    if (t.cohorts_striped > 0) {
-        cohorts_striped_.fetch_add(t.cohorts_striped,
-                                   std::memory_order_relaxed);
-    }
-    if (t.repacks > 0) {
-        repacks_.fetch_add(t.repacks, std::memory_order_relaxed);
-    }
-    if (t.escalations16 > 0) {
-        escalations16_.fetch_add(t.escalations16, std::memory_order_relaxed);
-    }
-    if (t.subjects_interseq > 0) {
-        subjects_interseq_.fetch_add(t.subjects_interseq,
-                                     std::memory_order_relaxed);
-    }
-    if (t.subjects_striped > 0) {
-        subjects_striped_.fetch_add(t.subjects_striped,
-                                    std::memory_order_relaxed);
-    }
-}
-
-DatabaseScanner::DispatchStats DatabaseScanner::dispatch_stats() const {
-    return DispatchStats{
-        cohorts_interseq_.load(std::memory_order_relaxed),
-        cohorts_streamed_.load(std::memory_order_relaxed),
-        cohorts_striped_.load(std::memory_order_relaxed),
-        repacks_.load(std::memory_order_relaxed),
-        escalations16_.load(std::memory_order_relaxed),
-        subjects_interseq_.load(std::memory_order_relaxed),
-        subjects_striped_.load(std::memory_order_relaxed)};
-}
-
-DatabaseScanner::FilterStats DatabaseScanner::filter_stats() const {
-    return FilterStats{cohorts_filtered_.load(std::memory_order_relaxed),
-                       rebounds16_.load(std::memory_order_relaxed),
-                       subjects_pruned_.load(std::memory_order_relaxed),
-                       filter_offs_.load(std::memory_order_relaxed),
-                       lanes_filtered_.load(std::memory_order_relaxed)};
+ScanStats& ScanStats::operator+=(const ScanStats& o) {
+    cohorts_interseq += o.cohorts_interseq;
+    cohorts_streamed += o.cohorts_streamed;
+    cohorts_striped += o.cohorts_striped;
+    repacks += o.repacks;
+    escalations16 += o.escalations16;
+    subjects_interseq += o.subjects_interseq;
+    subjects_striped += o.subjects_striped;
+    cohorts_filtered += o.cohorts_filtered;
+    lanes_filtered += o.lanes_filtered;
+    subjects_pruned += o.subjects_pruned;
+    filter_offs += o.filter_offs;
+    settled8 += o.settled8;
+    settled_wide += o.settled_wide;
+    return *this;
 }
 
 }  // namespace swh::align

@@ -8,9 +8,10 @@
 // gapped scores via the per-query gap-slack bound. Lanes whose bound
 // falls strictly below the caller-published pruning threshold — fed
 // back from the running k-th best exact score — are skipped entirely;
-// anything unprovable (u8 saturation the 16-bit re-bound cannot clear)
-// is rescored, so the surviving top-k is bit-identical to an exhaustive
-// scan. See DESIGN.md "Prefilter funnel" for the soundness argument.
+// anything unprovable (a lane that saturated the 8-bit sweep) survives
+// into the exact stage, so the surviving top-k is bit-identical to an
+// exhaustive scan. See DESIGN.md "Prefilter funnel" for the soundness
+// argument.
 //
 // Stage 2 runs every survivor through an 8-bit exact kernel and defers
 // the (rare) overflowed ones; stage 3 settles the deferred batch — in
@@ -59,6 +60,44 @@
 #include "util/check.hpp"
 
 namespace swh::align {
+
+/// Counters of a DatabaseScanner: each worker keeps one record per
+/// run_worker call and adds it to the scanner's total at the end
+/// (DatabaseScanner::stats, cumulative across workers and resets).
+///
+/// Exact stage: subjects deferred to a wide rescore count under the
+/// kernel that deferred them, pruned subjects under neither.
+/// `cohorts_interseq` counts every inter-sequence-scored cohort, worker-
+/// side survivor repacks included; `cohorts_streamed` (layout cohorts
+/// with several subjects in a lane) is a subset of it.
+/// `subjects_interseq` counts every subject the inter-sequence kernel
+/// scored, so `subjects_striped` counts only genuine striped fallbacks.
+///
+/// Stage 1: `cohorts_filtered` counts ungapped u8 sweeps actually run
+/// and `lanes_filtered` the used lanes they covered; `subjects_pruned`
+/// the subjects proven out of the top-k and skipped; `filter_offs` the
+/// cohorts whose sweep the cost model skipped although the threshold
+/// was live. Filter-eligible cohorts = cohorts_filtered + filter_offs.
+struct ScanStats {
+    std::uint64_t cohorts_interseq = 0;
+    std::uint64_t cohorts_streamed = 0;
+    std::uint64_t cohorts_striped = 0;
+    std::uint64_t repacks = 0;  ///< dense survivor cohorts assembled
+    /// Dense i16 escalation cohorts the stage-3 drain assembled from
+    /// deferred u8-overflow lanes (each replaces up to W serial striped
+    /// rescores with one inter-sequence pass).
+    std::uint64_t escalations16 = 0;
+    std::uint64_t subjects_interseq = 0;
+    std::uint64_t subjects_striped = 0;
+    std::uint64_t cohorts_filtered = 0;
+    std::uint64_t lanes_filtered = 0;
+    std::uint64_t subjects_pruned = 0;
+    std::uint64_t filter_offs = 0;
+    std::uint64_t settled8 = 0;      ///< settled by a u8 kernel
+    std::uint64_t settled_wide = 0;  ///< settled by a wide rescore
+
+    ScanStats& operator+=(const ScanStats& o);
+};
 
 /// Non-owning view of a packed subject set: one contiguous residue
 /// arena plus per-subject offsets/lengths and a scan permutation.
@@ -116,13 +155,6 @@ public:
     /// the fill bar.
     static constexpr std::uint32_t kFunnelStripedCutover = 4;
 
-    /// Minimum u8-saturated lane count before the 16-bit re-bound sweep
-    /// pays for itself: the sweep costs about two u8 sweeps for the
-    /// whole cohort, so when only a few lanes saturated it is cheaper
-    /// to pass them straight to the exact stage (which escalates them
-    /// anyway if they are genuinely large).
-    static constexpr int kRebound16MinLanes = 8;
-
     /// Minimum deferred-overflow group size before the stage-3 drain
     /// re-packs it into a dense cohort for one i16
     /// inter-sequence pass instead of serial striped i16 rescores. The
@@ -140,8 +172,8 @@ public:
     /// tile and the per-lane tile bounds summed (sound — see
     /// align/ungapped.hpp): each tile's two DP rows stay L1-resident
     /// where a monolithic sweep of a 500+ residue query spills, and a
-    /// tile's maximum rarely saturates the 8-bit kernel, so the wide
-    /// re-bound sweep stays rare even for long subjects.
+    /// tile's maximum rarely saturates the 8-bit kernel, so few lanes
+    /// lose their bound to saturation even for long subjects.
     static constexpr std::size_t kFilterChunkRows = 256;
 
     /// Lane bound of a prefilter sweep where saturation left none.
@@ -192,7 +224,7 @@ public:
     template <class EmitFn, class PrunedFn>
     SWH_HOT_PATH bool run_worker(ScanScratch& scratch, EmitFn&& emit,
                                  PrunedFn&& pruned) {
-        WorkerTallies t;
+        ScanStats t;
         std::vector<std::uint32_t> overflow;
         bool keep = cohort_mode_
                         ? claim_cohorts(scratch, emit, pruned, overflow, t)
@@ -200,27 +232,27 @@ public:
         // Final stage (packed path only — cohort mode drains its own
         // batch, see drain_overflow): settle the deferred overflow
         // batch with the wide kernels.
-        std::size_t deferred_settled = 0;
         for (const std::uint32_t idx : overflow) {
             if (!keep) break;
             const Score s = aligner_->rescore_wide(subjects_.subject(idx),
                                                    scratch, /*trusted=*/true);
             keep = emit(idx, subjects_.lengths[idx], s);
-            ++deferred_settled;
+            ++t.settled_wide;
         }
         // Emit contract: unless a callback cancelled the scan, every
         // subject this worker claimed either settles exactly once — in
         // stage 2 for the in-range scores (settled8), in a wide rescore
         // (per-claim drain or the final batch) for the deferred rest —
         // or is reported pruned exactly once.
-        SWH_DCHECK(!keep || deferred_settled == overflow.size(),
-                   "deferred overflow batch must settle completely");
         SWH_DCHECK(!keep ||
-                       t.settled8 + t.settled_wide + deferred_settled ==
+                       t.settled8 + t.settled_wide ==
                            t.subjects_interseq + t.subjects_striped,
                    "emit contract: one settled score per claimed subject");
         aligner_->credit_runs8(t.settled8);
-        credit_dispatch(t);
+        {
+            LockGuard lock(stats_mu_);
+            stats_ += t;
+        }
         return keep;
     }
 
@@ -236,9 +268,6 @@ public:
     /// Rewinds the shared cursor for another scan of the same subjects.
     void reset() { next_.store(0, std::memory_order_relaxed); }
 
-    std::size_t chunk() const { return chunk_; }
-    std::size_t count() const { return subjects_.count; }
-    const StripedAligner& aligner() const { return *aligner_; }
     bool cohort_mode() const { return cohort_mode_; }
 
     /// True when the stage-1 prefilter can run: a threshold feed is
@@ -249,46 +278,11 @@ public:
         return threshold_ != nullptr && cohort_mode_;
     }
 
-    /// Exact-stage kernel selection counters (cumulative across workers
-    /// and resets). Subjects deferred to the wide rescore are counted
-    /// under the kernel that deferred them; pruned subjects appear in
-    /// neither (see filter_stats). `cohorts_interseq` counts every
-    /// inter-sequence-scored cohort, worker-side survivor repacks
-    /// included; `cohorts_streamed` (layout cohorts with several
-    /// subjects in a lane) is a subset of it. `subjects_interseq`
-    /// counts every subject the inter-sequence kernel scored, so
-    /// `subjects_striped` counts only genuine striped fallbacks.
-    struct DispatchStats {
-        std::uint64_t cohorts_interseq = 0;
-        std::uint64_t cohorts_streamed = 0;
-        std::uint64_t cohorts_striped = 0;
-        std::uint64_t repacks = 0;  ///< dense survivor cohorts assembled
-        /// Dense i16 escalation cohorts the stage-3 drain assembled
-        /// from deferred u8-overflow lanes (each replaces up to W
-        /// serial striped rescores with one inter-sequence pass).
-        std::uint64_t escalations16 = 0;
-        std::uint64_t subjects_interseq = 0;
-        std::uint64_t subjects_striped = 0;
-    };
-    DispatchStats dispatch_stats() const;
-
-    /// Stage-1 prefilter counters (cumulative across workers and
-    /// resets). `cohorts_filtered` counts ungapped u8 sweeps actually
-    /// run and `lanes_filtered` the used lanes they covered;
-    /// `rebounds16` the cohorts whose u8-saturated lanes were
-    /// re-bounded at 16 bits; `subjects_pruned` the lanes proven out of
-    /// the top-k and skipped; `filter_offs` the cohorts whose sweep the
-    /// cost model skipped although the threshold was live (see
-    /// SweepModel). Filter-eligible cohorts = cohorts_filtered +
-    /// filter_offs.
-    struct FilterStats {
-        std::uint64_t cohorts_filtered = 0;
-        std::uint64_t rebounds16 = 0;
-        std::uint64_t subjects_pruned = 0;
-        std::uint64_t filter_offs = 0;
-        std::uint64_t lanes_filtered = 0;
-    };
-    FilterStats filter_stats() const;
+    /// Every worker's counters so far (see ScanStats).
+    ScanStats stats() const {
+        LockGuard lock(stats_mu_);
+        return stats_;
+    }
 
 private:
     /// Exact-stage route precomputed per cohort (see choice_).
@@ -410,23 +404,6 @@ private:
         }
     };
 
-    struct WorkerTallies {
-        std::uint64_t settled8 = 0;
-        std::uint64_t settled_wide = 0;
-        std::uint64_t cohorts_interseq = 0;
-        std::uint64_t cohorts_streamed = 0;
-        std::uint64_t cohorts_striped = 0;
-        std::uint64_t repacks = 0;
-        std::uint64_t escalations16 = 0;
-        std::uint64_t subjects_interseq = 0;
-        std::uint64_t subjects_striped = 0;
-        std::uint64_t cohorts_filtered = 0;
-        std::uint64_t rebounds16 = 0;
-        std::uint64_t pruned = 0;
-        std::uint64_t filter_offs = 0;
-        std::uint64_t lanes_filtered = 0;
-    };
-
     std::uint32_t slot_index(std::size_t slot) const {
         return subjects_.order != nullptr ? subjects_.order[slot]
                                           : static_cast<std::uint32_t>(slot);
@@ -456,7 +433,7 @@ private:
     template <class EmitFn>
     SWH_HOT_PATH bool claim_subjects(ScanScratch& scratch, EmitFn&& emit,
                         std::vector<std::uint32_t>& overflow,
-                        WorkerTallies& t) {
+                        ScanStats& t) {
         bool keep = true;
         const std::size_t n = subjects_.count;
         while (keep) {
@@ -472,40 +449,17 @@ private:
         return keep;
     }
 
-    /// Cost model of the 16-bit re-bound sweep over one striped-path
-    /// cohort: the sweep pays the full W x columns cohort geometry at
-    /// roughly half the striped u8 kernel's cell rate, and saves at
-    /// most the striped scoring of the saturated lanes themselves.
-    /// Worth running only when those lanes' summed lengths cover at
-    /// least half the sweep's footprint — a densely saturated cohort,
-    /// not a handful of long stragglers rattling in a ragged one
-    /// (exactly what the long planted families look like to a short
-    /// query, where the sweep measurably costs more than it saves).
-    SWH_HOT_PATH bool rebound_pays(const CohortDesc& d,
-                                   std::uint64_t sat_used) const {
-        std::uint64_t sat_len = 0;
-        for (std::uint32_t k = 0; k < d.subjects; ++k) {
-            if ((sat_used >> member_lane(d, k)) & 1) {
-                sat_len += subjects_.lengths[member_index(d, k)];
-            }
-        }
-        return 2 * sat_len >=
-               static_cast<std::uint64_t>(cohorts_.lanes) * d.columns;
-    }
-
     /// Stage-1 prefilter over one cohort: returns the survivor lane
     /// mask (within `used`). Conservative by construction — a lane is
     /// cleared only when its gap-slack chain bound (align/ungapped.hpp)
-    /// provably falls strictly below `tau`; u8-saturated lanes are
-    /// re-bounded at 16 bits (only when `striped_exact` says the
-    /// cohort's exact fallback is per-lane striped — see below), and
-    /// i16-saturated lanes always survive. `bound[l]` receives each
-    /// used lane's proven bound, kUnbounded where saturation left none.
+    /// provably falls strictly below `tau`; u8-saturated lanes always
+    /// survive (the exact stage escalates them). `bound[l]` receives
+    /// each used lane's proven bound, kUnbounded where saturation left
+    /// none.
     SWH_HOT_PATH std::uint64_t filter_cohort(const CohortDesc& d,
-                                             std::uint64_t used,
-                                Score tau, bool striped_exact,
-                                ScanScratch& scratch, Score* bound,
-                                WorkerTallies& t) {
+                                             std::uint64_t used, Score tau,
+                                             ScanScratch& scratch,
+                                             Score* bound, ScanStats& t) {
         ++t.cohorts_filtered;
         t.lanes_filtered += d.lanes_used;
         std::uint8_t bound8[64];
@@ -540,37 +494,7 @@ private:
             if (acc[l] >= tau) survive |= std::uint64_t{1} << l;
             bound[l] = (sat >> l) & 1 ? kUnbounded : acc[l];
         }
-        survive &= used;
-        if (striped_exact && tiles == 1 &&
-            std::popcount(sat & used) >= kRebound16MinLanes &&
-            rebound_pays(d, sat & used)) {
-            // Saturated lanes carry no trusted u8 bound; one 16-bit
-            // sweep re-bounds the whole cohort so they can still prune.
-            // It only pays where the exact fallback is per-lane striped
-            // — each pruned lane then saves a whole striped alignment.
-            // On interseq-path cohorts the exact kernel scores all
-            // lanes for one cohort-sweep price anyway, and the i16
-            // ungapped sweep measures ~40% dearer than that kernel, so
-            // there the stragglers go straight to the exact stage. The
-            // single-chunk gate is a measurement too: the i16 sweep has
-            // no row tiling, so past kFilterChunkRows it spills L1 and
-            // runs ~30 ms/cohort at qlen 1025 — more than the striped
-            // u8 scoring of every lane it could hope to prune.
-            ++t.rebounds16;
-            std::int16_t bound16[64];
-            const std::uint64_t sat16 = sw_ungapped_interseq_i16(
-                *aligner_->interseq(), cols, d.columns, aligner_->gap(),
-                aligner_->isa(), scratch, bound16);
-            for (std::uint32_t l = 0; l < d.lanes_used; ++l) {
-                const std::uint64_t bit = std::uint64_t{1} << l;
-                if ((sat & bit) == 0) continue;
-                if ((sat16 & bit) == 0) {
-                    bound[l] = static_cast<Score>(bound16[l]);
-                    if (bound[l] < tau) survive &= ~bit;
-                }
-            }
-        }
-        return survive;
+        return survive & used;
     }
 
     /// Cohort claim unit: whole cohorts of the interleaved layout.
@@ -585,7 +509,7 @@ private:
     SWH_HOT_PATH bool claim_cohorts(ScanScratch& scratch, EmitFn&& emit,
                                     PrunedFn&& pruned,
                        std::vector<std::uint32_t>& overflow,
-                       WorkerTallies& t) {
+                       ScanStats& t) {
         bool keep = true;
         const std::size_t n = cohorts_.count;
         const auto w = static_cast<std::size_t>(cohorts_.lanes);
@@ -627,16 +551,15 @@ private:
                         : 0;
                 if (tau > 0 && model.wants(path, d, cells, tau)) {
                     const auto t0 = SweepModel::Clock::now();
-                    survive = filter_cohort(d, used, tau,
-                                            path == CohortPath::kStriped,
-                                            scratch, bound, t);
+                    survive =
+                        filter_cohort(d, used, tau, scratch, bound, t);
                     const double ns = SweepModel::ns_since(t0);
                     std::uint64_t pruned_residues = 0;
                     // A pruned lane's bound covers every subject in it.
                     for (std::uint32_t k = 0; k < d.subjects && keep; ++k) {
                         if ((survive >> member_lane(d, k)) & 1) continue;
                         const std::uint32_t idx = member_index(d, k);
-                        ++t.pruned;
+                        ++t.subjects_pruned;
                         pruned_residues += subjects_.lengths[idx];
                         keep = pruned(idx, subjects_.lengths[idx]);
                     }
@@ -830,7 +753,7 @@ private:
                                    bool force,
                       ScanScratch& scratch, std::vector<Code>& repack,
                       EmitFn&& emit, std::vector<std::uint32_t>& overflow,
-                      WorkerTallies& t) {
+                      ScanStats& t) {
         const auto w = static_cast<std::size_t>(cohorts_.lanes);
         const std::uint64_t bar =
             min_fill_pct(aligner_->interseq()->query_len);
@@ -873,7 +796,7 @@ private:
                                    std::size_t count, ScanScratch& scratch,
                                    std::vector<Code>& repack, EmitFn&& emit,
                                    std::vector<std::uint32_t>& overflow,
-                                   WorkerTallies& t) {
+                                   ScanStats& t) {
         const std::uint32_t columns = repack_columns(batch, count, repack);
         ++t.repacks;
         ++t.cohorts_interseq;
@@ -909,7 +832,7 @@ private:
     template <class EmitFn>
     SWH_HOT_PATH bool drain_overflow(std::vector<std::uint32_t>& overflow,
                         ScanScratch& scratch, std::vector<Code>& repack,
-                        EmitFn&& emit, WorkerTallies& t) {
+                        EmitFn&& emit, ScanStats& t) {
         const bool keep = for_each_length_group(
             overflow, [&](std::size_t at, std::size_t end, std::uint64_t,
                           std::uint64_t) {
@@ -945,7 +868,7 @@ private:
                                      std::size_t count,
                                      ScanScratch& scratch,
                                      std::vector<Code>& repack, EmitFn&& emit,
-                                     WorkerTallies& t) {
+                                     ScanStats& t) {
         const std::uint32_t columns = repack_columns(batch, count, repack);
         ++t.escalations16;
         std::int16_t lane_best[64];
@@ -974,7 +897,7 @@ private:
     SWH_HOT_PATH bool score_striped(std::uint32_t idx, ScanScratch& scratch,
                                     EmitFn&& emit,
                        std::vector<std::uint32_t>& overflow,
-                       WorkerTallies& t) {
+                       ScanStats& t) {
         ++t.subjects_striped;
         const StripedResult r =
             aligner_->score_u8(subjects_.subject(idx), scratch,
@@ -988,8 +911,6 @@ private:
         ++t.settled8;
         return emit(idx, subjects_.lengths[idx], r.score);
     }
-
-    void credit_dispatch(const WorkerTallies& t);
 
     const StripedAligner* aligner_;
     PackedSubjects subjects_;
@@ -1015,13 +936,9 @@ private:
     /// untouched).
     std::vector<std::uint32_t> prime_order_;
     std::atomic<std::size_t> next_{0};
-    std::atomic<std::uint64_t> cohorts_interseq_{0}, cohorts_streamed_{0};
-    std::atomic<std::uint64_t> cohorts_striped_{0};
-    std::atomic<std::uint64_t> repacks_{0}, escalations16_{0};
-    std::atomic<std::uint64_t> subjects_interseq_{0}, subjects_striped_{0};
-    std::atomic<std::uint64_t> cohorts_filtered_{0}, rebounds16_{0};
-    std::atomic<std::uint64_t> subjects_pruned_{0}, filter_offs_{0};
-    std::atomic<std::uint64_t> lanes_filtered_{0};
+    mutable Mutex stats_mu_;
+    /// Sum of the workers' records, added once per run_worker call.
+    ScanStats stats_ SWH_GUARDED_BY(stats_mu_);
 };
 
 }  // namespace swh::align

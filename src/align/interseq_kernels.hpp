@@ -97,9 +97,8 @@ SWH_HOT_PATH std::uint64_t interseq_tiles_u8(
 
     for (std::size_t r0 = 0; r0 < m; r0 += rows) {
         const std::size_t tm = std::min(rows, m - r0);
-        const std::size_t tbytes = tm * sizeof(V);
-        std::memset(h, 0, tbytes);
-        std::memset(e, 0, tbytes);
+        std::fill_n(h, tm, V::zero());
+        std::fill_n(e, tm, V::zero());
         const bool first = r0 == 0;
         const bool last = r0 + tm == m;
         for (int l = 0; l < W; ++l) entry[l] = static_cast<std::uint32_t>(l);
@@ -220,9 +219,8 @@ SWH_HOT_PATH std::uint64_t interseq_tiles_i16(const InterseqProfile& p,
 
     for (std::size_t r0 = 0; r0 < m; r0 += rows) {
         const std::size_t tm = std::min(rows, m - r0);
-        const std::size_t tbytes = 2 * tm * sizeof(VW);
-        std::memset(h, 0, tbytes);
-        std::memset(e, 0, tbytes);
+        std::fill_n(h, 2 * tm, VW::zero());
+        std::fill_n(e, 2 * tm, VW::zero());
         const bool first = r0 == 0;
         VW carryDiagLo = VW::zero();
         VW carryDiagHi = VW::zero();

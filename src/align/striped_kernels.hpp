@@ -12,7 +12,7 @@
 // behaviour) and is compiled out for residues validated once at pack
 // time (db::PackedDatabase).
 
-#include <cstring>
+#include <algorithm>
 #include <span>
 
 #include "align/striped.hpp"
@@ -48,8 +48,8 @@ SWH_HOT_PATH StripedResult striped_u8(const Profile8& p,
     V* __restrict h_store = static_cast<V*>(bufs.h_store);
     V* __restrict e = static_cast<V*>(bufs.e);
     // h_store is fully written each column before it is read.
-    std::memset(h_load, 0, bytes);
-    std::memset(e, 0, bytes);
+    std::fill_n(h_load, seg, V::zero());
+    std::fill_n(e, seg, V::zero());
     V vMax = V::zero();
 
     for (const Code c : db) {
@@ -242,8 +242,8 @@ SWH_HOT_PATH StripedResult striped_i16(const Profile16& p,
     V* __restrict h_load = static_cast<V*>(bufs.h_load);
     V* __restrict h_store = static_cast<V*>(bufs.h_store);
     V* __restrict e = static_cast<V*>(bufs.e);
-    std::memset(h_load, 0, bytes);
-    std::memset(e, 0, bytes);
+    std::fill_n(h_load, seg, V::zero());
+    std::fill_n(e, seg, V::zero());
     V vMax = V::zero();
 
     for (const Code c : db) {

@@ -78,8 +78,8 @@ Score sw_ungapped_scalar(std::span<const Code> a, std::span<const Code> b,
 /// [row_begin, min(row_end, query_len)) to lane_best[0..lanes) and
 /// returns the saturating-overflow lane mask (bit l set = lane l may
 /// have saturated, `score + bias >= 255` — those lanes carry no
-/// trustworthy bound and must be treated as survivors or re-bounded at
-/// 16 bits). Residues must be pre-validated.
+/// trustworthy bound and must be treated as survivors). Residues must
+/// be pre-validated.
 SWH_HOT_PATH std::uint64_t sw_ungapped_interseq_u8(const InterseqProfile& profile,
                                       const Code* cols, std::size_t columns,
                                       GapPenalty gap, simd::IsaLevel isa,
@@ -87,16 +87,5 @@ SWH_HOT_PATH std::uint64_t sw_ungapped_interseq_u8(const InterseqProfile& profil
                                       std::uint8_t* lane_best,
                                       std::size_t row_begin = 0,
                                       std::size_t row_end = SIZE_MAX);
-
-/// 16-bit companion over the same u8-width cohort (each lane widened to
-/// two i16 half-vectors, as in sw_interseq_i16); overflow mask uses the
-/// `score + max_raw >= 32767` bound.
-SWH_HOT_PATH std::uint64_t sw_ungapped_interseq_i16(const InterseqProfile& profile,
-                                       const Code* cols, std::size_t columns,
-                                       GapPenalty gap, simd::IsaLevel isa,
-                                       ScanScratch& scratch,
-                                       std::int16_t* lane_best,
-                                       std::size_t row_begin = 0,
-                                       std::size_t row_end = SIZE_MAX);
 
 }  // namespace swh::align

@@ -1,6 +1,6 @@
 #pragma once
 
-// Templated bodies of the gap-slack prefilter kernels: one subject per
+// Templated body of the gap-slack prefilter kernel: one subject per
 // SIMD lane, two DP rows indexed by query position (the H row and the
 // rows-above prefix maximum), no E/F recurrences — just the diagonal
 // chain with a row-monotone restart charge (see align/ungapped.hpp).
@@ -10,13 +10,13 @@
 // The arithmetic idiom matches the full inter-sequence kernels
 // (interseq_kernels.hpp): scores come biased from the shared transposed
 // profile, `subs(adds(H, s+bias), bias)` computes max(0, H + s) exactly
-// in saturating unsigned arithmetic, and the overflow masks use the
+// in saturating unsigned arithmetic, and the overflow mask uses the
 // same conservative saturation bounds as the striped kernels — if any
 // add clipped, the running maximum itself sits at the clip point, so
 // the final check cannot miss it. The u8 restart `subs(above, vOpen)`
 // clamps a negative charge at 0; that only ever substitutes the always-
-// legal fresh start (H is clamped at 0 anyway), so the u8, i16 and
-// scalar forms all compute the identical function absent saturation.
+// legal fresh start (H is clamped at 0 anyway), so the u8 and scalar
+// forms compute the identical function absent saturation.
 
 #include <algorithm>
 #include <cstring>
@@ -57,8 +57,8 @@ SWH_HOT_PATH std::uint64_t ungapped_interseq_u8(const InterseqProfile& p, const 
     // (A(i, j) in ungapped.hpp) — the only legal restart sources for
     // row i.
     V* __restrict above = static_cast<V*>(bufs.e);
-    std::memset(h, 0, bytes);
-    std::memset(above, 0, bytes);
+    std::fill_n(h, m, V::zero());
+    std::fill_n(above, m, V::zero());
     V vMax = V::zero();
 
     for (std::size_t j = 0; j < columns; ++j) {
@@ -86,80 +86,6 @@ SWH_HOT_PATH std::uint64_t ungapped_interseq_u8(const InterseqProfile& p, const 
     std::uint64_t overflow = 0;
     for (int l = 0; l < W; ++l) {
         if (static_cast<Score>(lane_best[l]) + p.bias >= 255) {
-            overflow |= std::uint64_t{1} << l;
-        }
-    }
-    return overflow;
-}
-
-/// 16-bit gap-slack kernel over the same u8-width cohort: each DP row
-/// holds two i16 half-vectors, widened in lane order (the layout of
-/// interseq_tiles_i16).
-template <class V>
-SWH_HOT_PATH std::uint64_t ungapped_interseq_i16(const InterseqProfile& p, const Code* cols,
-                                    std::size_t columns, GapPenalty gap,
-                                    ScanScratch& scratch,
-                                    std::int16_t* lane_best,
-                                    std::size_t row_begin,
-                                    std::size_t row_end) {
-    constexpr int W = V::kLanes;
-    using VW = decltype(widen_lo(V::zero()));
-    for (int l = 0; l < W; ++l) lane_best[l] = 0;
-    const std::size_t lo = std::min(row_begin, p.query_len);
-    const std::size_t hi = std::min(row_end, p.query_len);
-    if (lo >= hi || columns == 0) return 0;
-    const std::size_t m = hi - lo;
-
-    const VW vBias = VW::splat(static_cast<std::int16_t>(p.bias));
-    const VW vZero = VW::zero();
-    const VW vOpen = VW::splat(
-        static_cast<std::int16_t>(std::min<Score>(gap.open, 32767)));
-    const std::size_t bytes = 2 * m * sizeof(VW);
-    const ScanScratch::KernelBuffers bufs = scratch.kernel_buffers(bytes);
-    VW* __restrict h = static_cast<VW*>(bufs.h_load);
-    VW* __restrict above = static_cast<VW*>(bufs.e);
-    std::memset(h, 0, bytes);
-    std::memset(above, 0, bytes);
-    VW vMaxLo = VW::zero();
-    VW vMaxHi = VW::zero();
-
-    for (std::size_t j = 0; j < columns; ++j) {
-        const V dbv = V::load(cols + j * static_cast<std::size_t>(W));
-        VW vDiagLo = VW::zero();
-        VW vDiagHi = VW::zero();
-        VW vPrefixLo = VW::zero();
-        VW vPrefixHi = VW::zero();
-        for (std::size_t i = 0; i < m; ++i) {
-            const V s8 = lookup32(p.row(lo + i), dbv);
-            // Exact un-bias: widened entries are in [0, 255], so the
-            // subtraction cannot saturate and yields the raw score.
-            const VW sLo = subs(widen_lo(s8), vBias);
-            const VW sHi = subs(widen_hi(s8), vBias);
-
-            VW vAbove = above[2 * i];
-            VW vH = vmax(
-                adds(vmax(vDiagLo, subs(vAbove, vOpen)), sLo), vZero);
-            vDiagLo = h[2 * i];
-            h[2 * i] = vH;
-            above[2 * i] = vmax(vAbove, vPrefixLo);
-            vPrefixLo = vmax(vPrefixLo, vH);
-
-            vAbove = above[2 * i + 1];
-            vH = vmax(adds(vmax(vDiagHi, subs(vAbove, vOpen)), sHi), vZero);
-            vDiagHi = h[2 * i + 1];
-            h[2 * i + 1] = vH;
-            above[2 * i + 1] = vmax(vAbove, vPrefixHi);
-            vPrefixHi = vmax(vPrefixHi, vH);
-        }
-        vMaxLo = vmax(vMaxLo, vPrefixLo);
-        vMaxHi = vmax(vMaxHi, vPrefixHi);
-    }
-
-    vMaxLo.store(lane_best);
-    vMaxHi.store(lane_best + W / 2);
-    std::uint64_t overflow = 0;
-    for (int l = 0; l < W; ++l) {
-        if (static_cast<Score>(lane_best[l]) + p.max_raw >= 32767) {
             overflow |= std::uint64_t{1} << l;
         }
     }

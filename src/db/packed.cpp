@@ -91,7 +91,7 @@ void pack_lanes(std::span<const std::uint32_t> lengths,
     for (std::size_t p = 0; p < n; ++p) len[p] = lengths[order[p]];
     const auto fills = [w](std::uint64_t residues, std::uint64_t columns) {
         return residues * 100 >=
-               columns * w * InterleavedChunks::kCohortFillPct;
+               columns * w * align::DatabaseScanner::kInterseqMinFillPct;
     };
 
     RemainingSet remaining(n);

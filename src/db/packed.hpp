@@ -34,22 +34,18 @@ namespace swh::db {
 /// dense nothing fits a lane's leftover room, so those cohorts are
 /// exactly W consecutive scan slots, one subject per lane. Outlier
 /// guard: while more than W subjects remain, a cohort is only opened
-/// when the remaining residues could fill kCohortFillPct of its
-/// W x columns cells, and it must end at that fill; otherwise its
-/// longest subject becomes a singleton cohort (the scanner's striped
-/// route). The last W or fewer subjects form one cohort, one per lane.
+/// when the remaining residues could fill
+/// align::DatabaseScanner::kInterseqMinFillPct of its W x columns
+/// cells, and it must end at that fill; otherwise its longest subject
+/// becomes a singleton cohort (the scanner's striped route). Every
+/// cohort but the singletons and the final one thus meets the
+/// scanner's highest dispatch bar and takes the inter-sequence route.
+/// The last W or fewer subjects form one cohort, one per lane.
 /// The member table records each subject's scan slot, lane and start
 /// column; the starts table each cohort's subject-start columns with
 /// their lane masks.
 class InterleavedChunks {
 public:
-    /// Minimum residue fill (percent of W x columns) of every cohort
-    /// but the singletons and the final one, and of the remaining
-    /// residues before such a cohort is opened. Mirrors the long-query
-    /// dispatch bar (DatabaseScanner::kInterseqMinFillPct), so every
-    /// streamed cohort takes the inter-sequence route.
-    static constexpr std::uint64_t kCohortFillPct = 75;
-
     int lanes() const { return lanes_; }
     std::size_t cohort_count() const { return cohorts_.size(); }
     const align::CohortDesc& cohort(std::size_t c) const {

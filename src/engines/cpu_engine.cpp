@@ -15,6 +15,25 @@
 
 namespace swh::engines {
 
+void export_scan_stats(const align::ScanStats& s,
+                       obs::MetricsRegistry& metrics) {
+    metrics.counter("engine.cpu.subjects_interseq").add(s.subjects_interseq);
+    metrics.counter("engine.cpu.subjects_striped").add(s.subjects_striped);
+    // Route breakdown: why each cohort took the path it did —
+    // interseq, streamed (several subjects in a lane; a subset of
+    // cohorts_interseq), striped-head (fill below the dispatch bar).
+    metrics.counter("scan.dispatch.cohorts_interseq").add(s.cohorts_interseq);
+    metrics.counter("scan.dispatch.cohorts_streamed").add(s.cohorts_streamed);
+    metrics.counter("scan.dispatch.cohorts_striped_head")
+        .add(s.cohorts_striped);
+    metrics.counter("scan.dispatch.repacks").add(s.repacks);
+    metrics.counter("scan.dispatch.escalations16").add(s.escalations16);
+    metrics.counter("engine.cpu.filter.cohorts").add(s.cohorts_filtered);
+    metrics.counter("engine.cpu.filter.pruned").add(s.subjects_pruned);
+    metrics.counter("engine.cpu.filter.offs").add(s.filter_offs);
+    metrics.counter("engine.cpu.filter.lanes").add(s.lanes_filtered);
+}
+
 CpuEngine::CpuEngine(EngineConfig config, unsigned threads)
     : config_(config), threads_(threads) {
     SWH_REQUIRE(config_.matrix != nullptr, "engine needs a score matrix");
@@ -170,35 +189,7 @@ core::TaskResult CpuEngine::execute(const align::Sequence& query,
         config_.metrics->counter("engine.cpu.runs8").add(st.runs8);
         config_.metrics->counter("engine.cpu.runs16").add(st.runs16);
         config_.metrics->counter("engine.cpu.runs32").add(st.runs32);
-        const align::DatabaseScanner::DispatchStats ds =
-            scanner.dispatch_stats();
-        config_.metrics->counter("engine.cpu.subjects_interseq")
-            .add(ds.subjects_interseq);
-        config_.metrics->counter("engine.cpu.subjects_striped")
-            .add(ds.subjects_striped);
-        // Route breakdown: why each cohort took the path it did —
-        // interseq, streamed (several subjects in a lane; a subset of
-        // cohorts_interseq), striped-head (fill below the dispatch bar).
-        config_.metrics->counter("scan.dispatch.cohorts_interseq")
-            .add(ds.cohorts_interseq);
-        config_.metrics->counter("scan.dispatch.cohorts_streamed")
-            .add(ds.cohorts_streamed);
-        config_.metrics->counter("scan.dispatch.cohorts_striped_head")
-            .add(ds.cohorts_striped);
-        config_.metrics->counter("scan.dispatch.repacks").add(ds.repacks);
-        config_.metrics->counter("scan.dispatch.escalations16")
-            .add(ds.escalations16);
-        const align::DatabaseScanner::FilterStats fs = scanner.filter_stats();
-        config_.metrics->counter("engine.cpu.filter.cohorts")
-            .add(fs.cohorts_filtered);
-        config_.metrics->counter("engine.cpu.filter.rebounds16")
-            .add(fs.rebounds16);
-        config_.metrics->counter("engine.cpu.filter.pruned")
-            .add(fs.subjects_pruned);
-        config_.metrics->counter("engine.cpu.filter.offs")
-            .add(fs.filter_offs);
-        config_.metrics->counter("engine.cpu.filter.lanes")
-            .add(fs.lanes_filtered);
+        export_scan_stats(scanner.stats(), *config_.metrics);
     }
     if (lane != nullptr) {
         lane->span_end(span, task,

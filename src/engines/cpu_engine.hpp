@@ -5,6 +5,10 @@
 #include "align/striped.hpp"
 #include "engines/engine.hpp"
 
+namespace swh::align {
+struct ScanStats;
+}  // namespace swh::align
+
 namespace swh::engines {
 
 /// The paper's "adapted Farrar" SSE slave (SS IV-C): scans the packed
@@ -40,5 +44,13 @@ private:
     /// engine, never concurrently with itself.
     std::vector<align::ScanScratch> scratch_;
 };
+
+/// Adds one scan's counters to `metrics` under the names CpuEngine
+/// reports per task: engine.cpu.subjects_{interseq,striped},
+/// scan.dispatch.{cohorts_interseq,cohorts_streamed,
+/// cohorts_striped_head,repacks,escalations16} and
+/// engine.cpu.filter.{cohorts,pruned,offs,lanes}.
+void export_scan_stats(const align::ScanStats& stats,
+                       obs::MetricsRegistry& metrics);
 
 }  // namespace swh::engines

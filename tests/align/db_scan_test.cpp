@@ -204,7 +204,7 @@ TEST(DatabaseScanner, EmitFalseCancelsScan) {
 /// kernels.
 std::vector<Score> cohort_scan_scores(const StripedAligner& aligner,
                                       const db::Database& database,
-                                      DatabaseScanner::DispatchStats* stats) {
+                                      ScanStats* stats) {
     const db::PackedDatabase& packed = database.packed();
     DatabaseScanner scanner(
         aligner, packed.view(), /*chunk=*/64,
@@ -220,7 +220,7 @@ std::vector<Score> cohort_scan_scores(const StripedAligner& aligner,
             return true;
         });
     EXPECT_TRUE(completed);
-    if (stats != nullptr) *stats = scanner.dispatch_stats();
+    if (stats != nullptr) *stats = scanner.stats();
     return scores;
 }
 
@@ -251,7 +251,7 @@ TEST(DatabaseScanner, InterseqScanMatchesStripedAcrossIsaLevels) {
         for (const Sequence& q : queries) {
             const StripedAligner aligner(q.residues, blosum(), kGap, isa);
             ASSERT_NE(aligner.interseq(), nullptr);
-            DatabaseScanner::DispatchStats ds;
+            ScanStats ds;
             const std::vector<Score> scores =
                 cohort_scan_scores(aligner, database, &ds);
             for (std::size_t i = 0; i < database.size(); ++i) {
@@ -287,7 +287,7 @@ TEST(DatabaseScanner, LongQueryDispatchesTiledInterseq) {
         db::random_protein(rng, 2 * kInterseqTileRows + 1, "long");
     ASSERT_GT(interseq_tile_count(q.size()), 1u);
     const StripedAligner aligner(q.residues, blosum(), kGap);
-    DatabaseScanner::DispatchStats ds;
+    ScanStats ds;
     const std::vector<Score> scores =
         cohort_scan_scores(aligner, database, &ds);
     // One kernel per width: every inter-sequence cohort of a multi-tile
@@ -337,7 +337,7 @@ TEST(DatabaseScanner, ConcurrentCohortWorkersMatchSequential) {
         EXPECT_EQ(scores[i], aligner.score(database[i].residues))
             << "subject " << i;
     }
-    const DatabaseScanner::DispatchStats ds = scanner.dispatch_stats();
+    const ScanStats ds = scanner.stats();
     EXPECT_EQ(ds.subjects_interseq + ds.subjects_striped, database.size());
 }
 

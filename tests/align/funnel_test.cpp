@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <string>
@@ -69,10 +70,10 @@ std::vector<core::Hit> exhaustive_topk(const StripedAligner& aligner,
 
 struct FunnelRun {
     std::vector<core::Hit> hits;
-    DatabaseScanner::FilterStats filter;
-    DatabaseScanner::DispatchStats dispatch;
+    ScanStats stats;
     std::uint64_t emitted = 0;
     std::uint64_t pruned_calls = 0;
+    std::vector<std::uint32_t> pruned;  ///< subjects reported pruned
 };
 
 /// Funnel scan: prefilter armed with the running k-th best fed back
@@ -90,9 +91,12 @@ FunnelRun funnel_topk(const StripedAligner& aligner,
     std::vector<engines::TopK> collectors(static_cast<std::size_t>(workers),
                                           engines::TopK(k));
     std::atomic<std::uint64_t> emitted{0};
-    std::atomic<std::uint64_t> pruned_calls{0};
+    std::vector<std::vector<std::uint32_t>> pruned(
+        static_cast<std::size_t>(workers));
     const auto work = [&](int w) {
         engines::TopK& topk = collectors[static_cast<std::size_t>(w)];
+        std::vector<std::uint32_t>& pruned_here =
+            pruned[static_cast<std::size_t>(w)];
         ScanScratch scratch;
         EXPECT_TRUE(scanner.run_worker(
             scratch,
@@ -107,8 +111,8 @@ FunnelRun funnel_topk(const StripedAligner& aligner,
                 }
                 return true;
             },
-            [&](std::uint32_t, std::uint32_t) {
-                pruned_calls.fetch_add(1, std::memory_order_relaxed);
+            [&](std::uint32_t idx, std::uint32_t) {
+                pruned_here.push_back(idx);
                 return true;
             }));
     };
@@ -121,10 +125,12 @@ FunnelRun funnel_topk(const StripedAligner& aligner,
     for (engines::TopK& c : collectors) merged.merge(std::move(c));
     FunnelRun run;
     run.hits = merged.take();
-    run.filter = scanner.filter_stats();
-    run.dispatch = scanner.dispatch_stats();
+    run.stats = scanner.stats();
     run.emitted = emitted.load();
-    run.pruned_calls = pruned_calls.load();
+    for (const std::vector<std::uint32_t>& p : pruned) {
+        run.pruned.insert(run.pruned.end(), p.begin(), p.end());
+    }
+    run.pruned_calls = run.pruned.size();
     return run;
 }
 
@@ -139,41 +145,100 @@ void expect_same_hits(const std::vector<core::Hit>& got,
     }
 }
 
+/// A database whose final cohort takes the striped route with ten lanes
+/// that saturate u8 against `query` (150 residues): an exact copy of
+/// the query, a singleton cohort scanned first, lifts the k = 1
+/// threshold far above the u8 range; 64 background subjects of one
+/// length fill whole cohorts at every width; ten exact fragments of the
+/// query, 70 to 95 residues long, form the final cohort — 52% filled at
+/// W = 16 and less at wider W, below the 60% bar of a 150-residue
+/// query. Their indices go to `fragments`.
+db::Database saturated_final_cohort_db(
+    const Sequence& query, std::vector<std::uint32_t>& fragments) {
+    Rng rng(353);
+    std::vector<Sequence> seqs;
+    for (int i = 0; i < 64; ++i) {
+        seqs.push_back(db::random_protein(rng, 100, "bg"));
+    }
+    seqs.push_back(query);
+    std::uint32_t at = 0;
+    for (const std::size_t len : {95, 90, 85, 80, 80, 75, 75, 70, 70, 70}) {
+        at += 6;  // spread among the background
+        const std::size_t off = (at * 7) % (query.size() - len + 1);
+        const auto from = query.residues.begin() +
+                          static_cast<std::ptrdiff_t>(off);
+        seqs.insert(seqs.begin() + at,
+                    Sequence{"frag" + std::to_string(at), {},
+                             {from, from + static_cast<std::ptrdiff_t>(len)}});
+        fragments.push_back(at);
+    }
+    return db::Database("saturated-tail", std::move(seqs));
+}
+
 TEST(DatabaseScannerFunnel, TopKBitIdenticalAcrossIsaLevelsAndK) {
-    // Planted-family database: background noise plus homologs of the
+    // Planted-family databases: background noise plus homologs of the
     // query, the shape the funnel is built for — the family feeds the
     // threshold and the background gets pruned. Query lengths
     // kFilterChunkRows and one past it put the prefilter at its tile
-    // boundary: one bound tile, then the first two-tile sum.
+    // boundary: one bound tile, then the first two-tile sum. The last
+    // database puts u8-saturated lanes on the striped route of a swept
+    // cohort: they carry no bound, so they must survive into the exact
+    // stage even where tau lies above the u8 range.
     std::uint64_t total_pruned = 0;
+    const auto check = [&](const db::Database& database, const Sequence& q,
+                           const std::string& name,
+                           const std::vector<std::uint32_t>& unprunable) {
+        for (const simd::IsaLevel isa : supported_levels()) {
+            const StripedAligner aligner(q.residues, blosum(), kGap, isa);
+            for (const std::size_t k : {std::size_t{1}, std::size_t{10},
+                                        std::size_t{100}}) {
+                const std::string label =
+                    name + " isa=" + std::string(simd::to_string(isa)) +
+                    " k=" + std::to_string(k);
+                const std::vector<core::Hit> want =
+                    exhaustive_topk(aligner, database, k);
+                ASSERT_EQ(want.size(), std::min(k, database.size()));
+                const FunnelRun run = funnel_topk(aligner, database, k);
+                expect_same_hits(run.hits, want, label);
+                // Accounting: every subject is either settled or
+                // reported pruned, exactly once.
+                EXPECT_EQ(run.emitted + run.pruned_calls, database.size())
+                    << label;
+                EXPECT_EQ(run.pruned_calls, run.stats.subjects_pruned)
+                    << label;
+                total_pruned += run.stats.subjects_pruned;
+                for (const std::uint32_t idx : unprunable) {
+                    EXPECT_EQ(std::count(run.pruned.begin(), run.pruned.end(),
+                                         idx),
+                              0)
+                        << label << " subject " << idx;
+                }
+            }
+        }
+    };
     for (const std::size_t qlen :
          {std::size_t{100}, DatabaseScanner::kFilterChunkRows,
           DatabaseScanner::kFilterChunkRows + 1}) {
         const db::ScanSample sample = db::make_scan_sample(300, {qlen});
-        for (const simd::IsaLevel isa : supported_levels()) {
-            const StripedAligner aligner(sample.queries[0].residues,
-                                         blosum(), kGap, isa);
-            for (const std::size_t k : {std::size_t{1}, std::size_t{10},
-                                        std::size_t{100}}) {
-                const std::vector<core::Hit> want =
-                    exhaustive_topk(aligner, sample.database, k);
-                ASSERT_EQ(want.size(), k);
-                const FunnelRun run =
-                    funnel_topk(aligner, sample.database, k);
-                expect_same_hits(
-                    run.hits, want,
-                    "qlen=" + std::to_string(qlen) +
-                        " isa=" + std::string(simd::to_string(isa)) +
-                        " k=" + std::to_string(k));
-                // Accounting: every subject is either settled or
-                // reported pruned, exactly once.
-                EXPECT_EQ(run.emitted + run.pruned_calls,
-                          sample.database.size());
-                EXPECT_EQ(run.pruned_calls, run.filter.subjects_pruned);
-                total_pruned += run.filter.subjects_pruned;
-            }
-        }
+        check(sample.database, sample.queries[0],
+              "qlen=" + std::to_string(qlen), {});
     }
+    Rng rng(349);
+    const Sequence q = db::random_protein(rng, 150, "q");
+    std::vector<std::uint32_t> fragments;
+    const db::Database tail = saturated_final_cohort_db(q, fragments);
+    for (const simd::IsaLevel isa : supported_levels()) {
+        // The layout's final cohort holds the ten fragments and takes
+        // the striped route.
+        const int w = lanes_u8(isa);
+        const InterleavedCohorts view = tail.packed().interleaved(w).view();
+        const CohortDesc& last = view.cohorts[view.count - 1];
+        ASSERT_EQ(last.subjects, fragments.size());
+        ASSERT_LT(last.residues * 100,
+                  std::uint64_t{last.columns} * static_cast<std::uint64_t>(w) *
+                      DatabaseScanner::min_fill_pct(q.size()));
+    }
+    check(tail, q, "saturated-tail", fragments);
     // The funnel must actually funnel on this workload, not just match.
     EXPECT_GT(total_pruned, 0u);
 }
@@ -205,20 +270,20 @@ TEST(DatabaseScannerFunnel, LongQueryTiledRepackBitIdentical) {
                                  " k=" + std::to_string(k));
             EXPECT_EQ(run.emitted + run.pruned_calls,
                       sample.database.size());
-            EXPECT_EQ(run.pruned_calls, run.filter.subjects_pruned);
+            EXPECT_EQ(run.pruned_calls, run.stats.subjects_pruned);
             // Every subject settles on exactly one of the three paths
             // or is pruned — no double counting, no loss.
-            EXPECT_EQ(run.dispatch.subjects_interseq +
-                          run.dispatch.subjects_striped +
-                          run.filter.subjects_pruned,
+            EXPECT_EQ(run.stats.subjects_interseq +
+                          run.stats.subjects_striped +
+                          run.stats.subjects_pruned,
                       sample.database.size());
             // A long query must never disable interseq by length
             // alone; with one kernel per width, every inter-sequence
             // cohort of this multi-tile query ran tiled.
-            tiled_cohorts += run.dispatch.cohorts_interseq;
+            tiled_cohorts += run.stats.cohorts_interseq;
             repack_or_striped +=
-                run.dispatch.repacks + run.dispatch.subjects_striped;
-            pruned += run.filter.subjects_pruned;
+                run.stats.repacks + run.stats.subjects_striped;
+            pruned += run.stats.subjects_pruned;
         }
     }
     EXPECT_GT(tiled_cohorts, 0u);
@@ -248,7 +313,7 @@ TEST(DatabaseScannerFunnel, AllIdenticalScoresKeepEveryTie) {
             expect_same_hits(run.hits, want, "twins k=" + std::to_string(k));
             // Nothing scores strictly below the threshold, so nothing
             // may be pruned.
-            EXPECT_EQ(run.filter.subjects_pruned, 0u);
+            EXPECT_EQ(run.stats.subjects_pruned, 0u);
             EXPECT_EQ(run.emitted, database.size());
             for (std::size_t i = 0; i < run.hits.size(); ++i) {
                 EXPECT_EQ(run.hits[i].db_index, i);  // index tie-break
@@ -314,7 +379,7 @@ TEST(DatabaseScannerFunnel, EmptyAndTinyDatabases) {
     EXPECT_EQ(want.size(), tiny.size());
     const FunnelRun run = funnel_topk(aligner, tiny, 100);
     expect_same_hits(run.hits, want, "tiny");
-    EXPECT_EQ(run.filter.subjects_pruned, 0u);
+    EXPECT_EQ(run.stats.subjects_pruned, 0u);
     EXPECT_EQ(run.emitted, tiny.size());
 }
 
@@ -339,7 +404,7 @@ TEST(DatabaseScannerFunnel, ThresholdWithoutCohortsIsInert) {
             return true;
         }));
     EXPECT_EQ(emitted, sample.database.size());
-    EXPECT_EQ(scanner.filter_stats().cohorts_filtered, 0u);
+    EXPECT_EQ(scanner.stats().cohorts_filtered, 0u);
     expect_same_hits(topk.take(),
                      exhaustive_topk(aligner, sample.database, 10),
                      "inert threshold");
@@ -414,15 +479,15 @@ TEST(DatabaseScannerFunnel, LongTailedStreamedLayoutBitIdentical) {
                 expect_same_hits(run.hits, want, label);
                 EXPECT_EQ(run.emitted + run.pruned_calls, database.size())
                     << label;
-                EXPECT_EQ(run.pruned_calls, run.filter.subjects_pruned)
+                EXPECT_EQ(run.pruned_calls, run.stats.subjects_pruned)
                     << label;
-                EXPECT_EQ(run.dispatch.subjects_interseq +
-                              run.dispatch.subjects_striped +
-                              run.filter.subjects_pruned,
+                EXPECT_EQ(run.stats.subjects_interseq +
+                              run.stats.subjects_striped +
+                              run.stats.subjects_pruned,
                           database.size())
                     << label;
-                streamed += run.dispatch.cohorts_streamed;
-                pruned += run.filter.subjects_pruned;
+                streamed += run.stats.cohorts_streamed;
+                pruned += run.stats.subjects_pruned;
             }
         }
     }
@@ -473,9 +538,9 @@ TEST(DatabaseScannerFunnel, CostModelStopsSweepsThatCannotPay) {
                 EXPECT_EQ(run.emitted + run.pruned_calls, database.size())
                     << label;
                 const std::uint64_t eligible =
-                    run.filter.cohorts_filtered + run.filter.filter_offs;
-                EXPECT_GT(run.filter.filter_offs, 0u) << label;
-                EXPECT_LT(2 * run.filter.cohorts_filtered, eligible)
+                    run.stats.cohorts_filtered + run.stats.filter_offs;
+                EXPECT_GT(run.stats.filter_offs, 0u) << label;
+                EXPECT_LT(2 * run.stats.cohorts_filtered, eligible)
                     << label;
             }
         }
@@ -502,11 +567,11 @@ TEST(DatabaseScannerFunnel, CostModelKeepsSweepsThatPrune) {
             const FunnelRun run =
                 funnel_topk(aligner, sample.database, 10, workers);
             expect_same_hits(run.hits, want, label);
-            EXPECT_EQ(run.pruned_calls, run.filter.subjects_pruned) << label;
+            EXPECT_EQ(run.pruned_calls, run.stats.subjects_pruned) << label;
             if (workers == 1) {
-                EXPECT_GT(run.filter.subjects_pruned, 0u) << label;
+                EXPECT_GT(run.stats.subjects_pruned, 0u) << label;
             } else {
-                pruned4 += run.filter.subjects_pruned;
+                pruned4 += run.stats.subjects_pruned;
             }
         }
     }

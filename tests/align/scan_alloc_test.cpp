@@ -201,7 +201,7 @@ TEST(ScanAllocation, EnginePathIsAllocationFreeAfterWarmup) {
                                    topk.add(idx, s);
                                    return true;
                                });
-            const DatabaseScanner::DispatchStats ds = scanner.dispatch_stats();
+            const ScanStats ds = scanner.stats();
             ASSERT_GT(ds.cohorts_interseq, 0u) << label;
             ASSERT_EQ(ds.cohorts_streamed > 0, streamed) << label;
 

@@ -134,8 +134,9 @@ TEST(UngappedKernels, U8MatchesScalarAcrossIsaLevels) {
     for (const simd::IsaLevel isa : supported_levels()) {
         const int W = lanes_u8(isa);
         Rng srng(isa == simd::IsaLevel::Scalar ? 11u : 12u);
-        const auto subjects =
+        auto subjects =
             random_subjects(srng, static_cast<std::size_t>(W), 5, 200);
+        subjects[0] = q;  // self-match: saturates u8
         std::size_t columns = 0;
         for (const auto& s : subjects) columns = std::max(columns, s.size());
         const std::vector<Code> cols = interleave(subjects, W, columns);
@@ -144,6 +145,7 @@ TEST(UngappedKernels, U8MatchesScalarAcrossIsaLevels) {
         std::uint8_t bound8[64];
         const std::uint64_t sat = sw_ungapped_interseq_u8(
             prof, cols.data(), columns, kGap, isa, scratch, bound8);
+        EXPECT_TRUE(sat & 1) << simd::to_string(isa);
         for (int l = 0; l < W; ++l) {
             if ((sat >> l) & 1) continue;  // no trusted bound claimed
             EXPECT_EQ(static_cast<Score>(bound8[l]),
@@ -151,48 +153,6 @@ TEST(UngappedKernels, U8MatchesScalarAcrossIsaLevels) {
                                                 l)],
                                          blosum(), kGap))
                 << "isa=" << simd::to_string(isa) << " lane=" << l;
-        }
-    }
-}
-
-TEST(UngappedKernels, I16MatchesScalarAcrossIsaLevels) {
-    Rng rng(223);
-    // Long enough that the u8 kernel saturates on self-similar lanes
-    // while i16 still bounds them exactly.
-    const auto q = db::random_protein(rng, 300, "q").residues;
-    const InterseqProfile prof = build_interseq_profile(q, blosum());
-
-    for (const simd::IsaLevel isa : supported_levels()) {
-        const int W = lanes_u8(isa);
-        Rng srng(isa == simd::IsaLevel::AVX512 ? 13u : 14u);
-        std::vector<std::vector<Code>> subjects =
-            random_subjects(srng, static_cast<std::size_t>(W), 20, 350);
-        subjects[0] = q;  // self-match: saturates u8, not i16
-
-        std::size_t columns = 0;
-        for (const auto& s : subjects) columns = std::max(columns, s.size());
-        const std::vector<Code> cols = interleave(subjects, W, columns);
-
-        ScanScratch scratch;
-        std::uint8_t bound8[64];
-        const std::uint64_t sat8 = sw_ungapped_interseq_u8(
-            prof, cols.data(), columns, kGap, isa, scratch, bound8);
-        EXPECT_TRUE(sat8 & 1) << simd::to_string(isa);
-
-        std::int16_t bound16[64];
-        const std::uint64_t sat16 = sw_ungapped_interseq_i16(
-            prof, cols.data(), columns, kGap, isa, scratch, bound16);
-        for (int l = 0; l < W; ++l) {
-            if ((sat16 >> l) & 1) continue;
-            const Score ref = sw_ungapped_scalar(
-                q, subjects[static_cast<std::size_t>(l)], blosum(), kGap);
-            EXPECT_EQ(static_cast<Score>(bound16[l]), ref)
-                << "isa=" << simd::to_string(isa) << " lane=" << l;
-            // Absent saturation the u8 and i16 kernels compute the
-            // identical function.
-            if (((sat8 >> l) & 1) == 0) {
-                EXPECT_EQ(static_cast<Score>(bound8[l]), ref);
-            }
         }
     }
 }
@@ -279,7 +239,6 @@ TEST(UngappedKernels, BoundDominatesStripedExactPerLane) {
 TEST(UngappedKernels, EmptyQueryAndEmptyCohortAreClean) {
     ScanScratch scratch;
     std::uint8_t bound8[64];
-    std::int16_t bound16[64];
     std::vector<Code> cols(64, InterseqProfile::kPadCode);
 
     const InterseqProfile empty_prof =
@@ -297,14 +256,7 @@ TEST(UngappedKernels, EmptyQueryAndEmptyCohortAreClean) {
                                       simd::IsaLevel::Scalar, scratch,
                                       bound8),
               0u);
-    EXPECT_EQ(sw_ungapped_interseq_i16(prof, cols.data(), 0, kGap,
-                                       simd::IsaLevel::Scalar, scratch,
-                                       bound16),
-              0u);
-    for (int l = 0; l < 16; ++l) {
-        EXPECT_EQ(bound8[l], 0);
-        EXPECT_EQ(bound16[l], 0);
-    }
+    for (int l = 0; l < 16; ++l) EXPECT_EQ(bound8[l], 0);
     EXPECT_EQ(sw_ungapped_scalar({}, {}, blosum(), kGap), 0);
 }
 

@@ -204,7 +204,7 @@ void check_layout(const PackedDatabase& packed, int lanes) {
         if (d.subjects > 1 && !tail) {
             EXPECT_GE(d.residues * 100,
                       std::uint64_t{d.columns} * w *
-                          InterleavedChunks::kCohortFillPct)
+                          align::DatabaseScanner::kInterseqMinFillPct)
                 << "cohort " << c;
         }
 
@@ -432,8 +432,8 @@ TEST(InterleavedChunksTest, IsolatedOutlierGetsSingleSubjectCohort) {
 TEST(InterleavedChunksTest, UnderfilledCohortRollsBackToSingleton) {
     // At W = 4 a cohort opened at 100 columns takes heads 100, 51, 51,
     // 51; no remaining 51 fits a 49-column room, so it would end at
-    // 253 / 400 = 63% < kCohortFillPct. It is rolled back and the 100
-    // rides alone; the 51s form a full cohort and a 3-subject tail.
+    // 253 / 400 = 63% < kInterseqMinFillPct. It is rolled back and the
+    // 100 rides alone; the 51s form a full cohort and a 3-subject tail.
     const PackedDatabase packed =
         PackedDatabase::pack(fixed_lengths({{1, 100}, {7, 51}}));
     const InterleavedChunks& chunks = packed.interleaved(4);

@@ -105,10 +105,10 @@ TEST(RemoteChannel, PeerEofDrainsThenCloses) {
 TEST(RemoteChannel, MalformedFramePoisonsConnection) {
     Pair p;
     // A well-framed body (valid length prefix) whose tag is garbage.
-    std::vector<std::uint8_t> garbage(4);
     const std::uint32_t len = 3;
+    std::vector<std::uint8_t> garbage = {0, 0, 0, 0, wire::kWireVersion,
+                                         0xEE, 1};
     std::memcpy(garbage.data(), &len, 4);
-    garbage.insert(garbage.end(), {wire::kWireVersion, 0xEE, 1});
     ASSERT_TRUE(p.master->send_frame(garbage));
     EXPECT_FALSE(p.slave->recv().has_value());
     EXPECT_TRUE(p.slave->closed());

@@ -41,10 +41,10 @@ RAW_SYNC_ALLOWED = {os.path.join("src", "util", "annotations.hpp")}
 HOT_PATH_FLOORS = {
     os.path.join("src", "align", "striped_kernels.hpp"): 6,
     os.path.join("src", "align", "interseq_kernels.hpp"): 2,
-    os.path.join("src", "align", "ungapped_kernels.hpp"): 2,
+    os.path.join("src", "align", "ungapped_kernels.hpp"): 1,
     os.path.join("src", "align", "striped.hpp"): 6,
     os.path.join("src", "align", "interseq.hpp"): 2,
-    os.path.join("src", "align", "ungapped.hpp"): 2,
+    os.path.join("src", "align", "ungapped.hpp"): 1,
     os.path.join("src", "align", "db_scan.hpp"): 11,
     os.path.join("src", "engines", "topk.hpp"): 3,
 }
